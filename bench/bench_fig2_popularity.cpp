@@ -9,10 +9,9 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "data/catalog.hpp"
+#include "core/grid.hpp"
 #include "util/histogram.hpp"
 #include "util/table.hpp"
-#include "workload/generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace chicsim;
@@ -24,17 +23,9 @@ int main(int argc, char** argv) {
   core::SimulationConfig cfg = bench::config_from_cli(cli);
   auto show = static_cast<std::size_t>(cli.get_int("show"));
 
-  // Generate the exact workload the simulations consume.
-  util::Rng drng = util::Rng::substream(cfg.seed, "datasets");
-  auto catalog = data::DatasetCatalog::generate_uniform(cfg.num_datasets, cfg.min_dataset_mb,
-                                                        cfg.max_dataset_mb, drng);
-  workload::WorkloadConfig wcfg;
-  wcfg.num_users = cfg.num_users;
-  wcfg.jobs_per_user = cfg.jobs_per_user();
-  wcfg.num_sites = cfg.num_sites;
-  wcfg.geometric_p = cfg.geometric_p;
-  util::Rng wrng = util::Rng::substream(cfg.seed, "workload");
-  workload::Workload workload(wcfg, catalog, wrng);
+  // The exact workload the simulations consume.
+  core::Grid grid(cfg);
+  const workload::Workload& workload = grid.workload();
 
   // Count requests per popularity rank.
   const workload::DatasetPopularity* pop = workload.popularity();

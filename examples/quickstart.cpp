@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     config.info_staleness_s = cli.get_double("staleness");
     config.validate();
 
-    std::printf("%s\n\n", config.describe().c_str());
+    std::printf("%s\n", config.describe().c_str());
 
     core::Grid grid(config);
     grid.run();

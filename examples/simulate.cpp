@@ -6,7 +6,8 @@
 //   ./simulate --config ../examples/scenarios/fast_network.cfg --set seed=7
 //   ./simulate --config ... --metrics-csv out.csv --timeline-csv tl.csv
 //
-// Config keys mirror the SimulationConfig field names — see
+// Config keys are the SimulationConfig field names; the key table in
+// src/core/config.cpp is the full list and an unknown key is an error. See
 // examples/scenarios/table1.cfg for a fully commented scenario.
 #include <cstdio>
 #include <exception>
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
     }
     cfg.validate();
 
-    std::printf("%s\n\n", cfg.describe().c_str());
+    std::printf("%s\n", cfg.describe().c_str());
     core::Grid grid(cfg);
 
     std::unique_ptr<core::TimelineRecorder> timeline;

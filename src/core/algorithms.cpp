@@ -1,135 +1,37 @@
 #include "core/algorithms.hpp"
 
-#include "util/error.hpp"
-#include "util/string_util.hpp"
-
 namespace chicsim::core {
 
-const char* to_string(EsAlgorithm a) {
-  switch (a) {
-    case EsAlgorithm::JobRandom: return "JobRandom";
-    case EsAlgorithm::JobLeastLoaded: return "JobLeastLoaded";
-    case EsAlgorithm::JobDataPresent: return "JobDataPresent";
-    case EsAlgorithm::JobLocal: return "JobLocal";
-    case EsAlgorithm::JobAdaptive: return "JobAdaptive";
-    case EsAlgorithm::JobBestEstimate: return "JobBestEstimate";
-  }
-  return "?";
-}
-
-const char* to_string(DsAlgorithm a) {
-  switch (a) {
-    case DsAlgorithm::DataDoNothing: return "DataDoNothing";
-    case DsAlgorithm::DataRandom: return "DataRandom";
-    case DsAlgorithm::DataLeastLoaded: return "DataLeastLoaded";
-    case DsAlgorithm::DataBestClient: return "DataBestClient";
-    case DsAlgorithm::DataFastSpread: return "DataFastSpread";
-  }
-  return "?";
-}
-
-const char* to_string(LsAlgorithm a) {
-  switch (a) {
-    case LsAlgorithm::Fifo: return "Fifo";
-    case LsAlgorithm::FifoSkip: return "FifoSkip";
-    case LsAlgorithm::Sjf: return "Sjf";
-  }
-  return "?";
-}
-
-const char* to_string(ReplicaSelection a) {
-  switch (a) {
-    case ReplicaSelection::Closest: return "Closest";
-    case ReplicaSelection::Random: return "Random";
-    case ReplicaSelection::LeastLoadedSource: return "LeastLoadedSource";
-  }
-  return "?";
-}
-
-const char* to_string(NeighborScope a) {
-  switch (a) {
-    case NeighborScope::Grid: return "Grid";
-    case NeighborScope::Region: return "Region";
-  }
-  return "?";
-}
-
-const char* to_string(EsMapping a) {
-  switch (a) {
-    case EsMapping::Distributed: return "Distributed";
-    case EsMapping::Centralized: return "Centralized";
-  }
-  return "?";
-}
-
-const char* to_string(SubmissionMode a) {
-  switch (a) {
-    case SubmissionMode::ClosedLoop: return "ClosedLoop";
-    case SubmissionMode::OpenLoop: return "OpenLoop";
-  }
-  return "?";
-}
-
-const char* to_string(TopologyKind a) {
-  switch (a) {
-    case TopologyKind::Hierarchy: return "Hierarchy";
-    case TopologyKind::Star: return "Star";
-  }
-  return "?";
-}
-
-namespace {
-template <typename Enum>
-Enum parse_enum(const std::string& name, const std::vector<Enum>& values,
-                const char* family) {
-  std::string lowered = util::to_lower(name);
-  for (Enum v : values) {
-    if (util::to_lower(to_string(v)) == lowered) return v;
-  }
-  throw util::SimError(std::string("unknown ") + family + " algorithm: " + name);
-}
-}  // namespace
-
 EsAlgorithm es_from_string(const std::string& name) {
-  return parse_enum(name, all_es_algorithms(), "external-scheduler");
+  return enum_names(EsAlgorithm{}).parse(name);
 }
 
 DsAlgorithm ds_from_string(const std::string& name) {
-  return parse_enum(name, all_ds_algorithms(), "dataset-scheduler");
+  return enum_names(DsAlgorithm{}).parse(name);
 }
 
 LsAlgorithm ls_from_string(const std::string& name) {
-  static const std::vector<LsAlgorithm> all{LsAlgorithm::Fifo, LsAlgorithm::FifoSkip,
-                                            LsAlgorithm::Sjf};
-  return parse_enum(name, all, "local-scheduler");
+  return enum_names(LsAlgorithm{}).parse(name);
 }
 
 ReplicaSelection replica_selection_from_string(const std::string& name) {
-  static const std::vector<ReplicaSelection> all{
-      ReplicaSelection::Closest, ReplicaSelection::Random,
-      ReplicaSelection::LeastLoadedSource};
-  return parse_enum(name, all, "replica-selection");
+  return enum_names(ReplicaSelection{}).parse(name);
 }
 
 NeighborScope neighbor_scope_from_string(const std::string& name) {
-  static const std::vector<NeighborScope> all{NeighborScope::Grid, NeighborScope::Region};
-  return parse_enum(name, all, "neighbor-scope");
+  return enum_names(NeighborScope{}).parse(name);
 }
 
 EsMapping es_mapping_from_string(const std::string& name) {
-  static const std::vector<EsMapping> all{EsMapping::Distributed, EsMapping::Centralized};
-  return parse_enum(name, all, "es-mapping");
+  return enum_names(EsMapping{}).parse(name);
 }
 
 SubmissionMode submission_mode_from_string(const std::string& name) {
-  static const std::vector<SubmissionMode> all{SubmissionMode::ClosedLoop,
-                                               SubmissionMode::OpenLoop};
-  return parse_enum(name, all, "submission-mode");
+  return enum_names(SubmissionMode{}).parse(name);
 }
 
 TopologyKind topology_kind_from_string(const std::string& name) {
-  static const std::vector<TopologyKind> all{TopologyKind::Hierarchy, TopologyKind::Star};
-  return parse_enum(name, all, "topology-kind");
+  return enum_names(TopologyKind{}).parse(name);
 }
 
 const std::vector<EsAlgorithm>& paper_es_algorithms() {
@@ -146,16 +48,12 @@ const std::vector<DsAlgorithm>& paper_ds_algorithms() {
 }
 
 const std::vector<EsAlgorithm>& all_es_algorithms() {
-  static const std::vector<EsAlgorithm> v{
-      EsAlgorithm::JobRandom,   EsAlgorithm::JobLeastLoaded, EsAlgorithm::JobDataPresent,
-      EsAlgorithm::JobLocal,    EsAlgorithm::JobAdaptive,    EsAlgorithm::JobBestEstimate};
+  static const std::vector<EsAlgorithm> v = enum_names(EsAlgorithm{}).values();
   return v;
 }
 
 const std::vector<DsAlgorithm>& all_ds_algorithms() {
-  static const std::vector<DsAlgorithm> v{
-      DsAlgorithm::DataDoNothing, DsAlgorithm::DataRandom, DsAlgorithm::DataLeastLoaded,
-      DsAlgorithm::DataBestClient, DsAlgorithm::DataFastSpread};
+  static const std::vector<DsAlgorithm> v = enum_names(DsAlgorithm{}).values();
   return v;
 }
 

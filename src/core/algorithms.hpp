@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hpp"
+
 namespace chicsim::core {
 
 /// External Scheduler algorithms: where does a submitted job run?
@@ -72,14 +74,43 @@ enum class ReplicaSelection : std::uint8_t {
   LeastLoadedSource,  ///< holder with the fewest waiting jobs
 };
 
-[[nodiscard]] const char* to_string(EsAlgorithm a);
-[[nodiscard]] const char* to_string(DsAlgorithm a);
-[[nodiscard]] const char* to_string(LsAlgorithm a);
-[[nodiscard]] const char* to_string(ReplicaSelection a);
-[[nodiscard]] const char* to_string(NeighborScope a);
-[[nodiscard]] const char* to_string(EsMapping a);
-[[nodiscard]] const char* to_string(SubmissionMode a);
-[[nodiscard]] const char* to_string(TopologyKind a);
+// The name tables: each enumerator's spelling, in declaration order.
+constexpr auto enum_names(EsAlgorithm) {
+  return util::enum_table<EsAlgorithm>("external-scheduler algorithm", "JobRandom",
+                                       "JobLeastLoaded", "JobDataPresent", "JobLocal",
+                                       "JobAdaptive", "JobBestEstimate");
+}
+constexpr auto enum_names(DsAlgorithm) {
+  return util::enum_table<DsAlgorithm>("dataset-scheduler algorithm", "DataDoNothing",
+                                       "DataRandom", "DataLeastLoaded", "DataBestClient",
+                                       "DataFastSpread");
+}
+constexpr auto enum_names(LsAlgorithm) {
+  return util::enum_table<LsAlgorithm>("local-scheduler algorithm", "Fifo", "FifoSkip", "Sjf");
+}
+constexpr auto enum_names(EsMapping) {
+  return util::enum_table<EsMapping>("es mapping", "Distributed", "Centralized");
+}
+constexpr auto enum_names(TopologyKind) {
+  return util::enum_table<TopologyKind>("topology kind", "Hierarchy", "Star");
+}
+constexpr auto enum_names(SubmissionMode) {
+  return util::enum_table<SubmissionMode>("submission mode", "ClosedLoop", "OpenLoop");
+}
+constexpr auto enum_names(NeighborScope) {
+  return util::enum_table<NeighborScope>("neighbor scope", "Grid", "Region");
+}
+constexpr auto enum_names(ReplicaSelection) {
+  return util::enum_table<ReplicaSelection>("replica selection", "Closest", "Random",
+                                            "LeastLoadedSource");
+}
+
+/// Name of any enum with a name table (these and the net:: ones).
+template <typename Enum>
+  requires requires(Enum e) { enum_names(e); }
+[[nodiscard]] constexpr const char* to_string(Enum e) {
+  return enum_names(e).name(e);
+}
 
 /// Case-insensitive parse; throws util::SimError on unknown names.
 [[nodiscard]] EsAlgorithm es_from_string(const std::string& name);

@@ -1,213 +1,194 @@
 #include "core/config.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <tuple>
+#include <type_traits>
+
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
 namespace chicsim::core {
 
+namespace {
+
+using C = SimulationConfig;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The values validate() accepts for one numeric key: [lo, hi) unless the
+/// flags say otherwise, so {0, 1} is [0, 1) and the default is [0, inf).
+struct Range {
+  double lo = 0.0;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = true;
+
+  [[nodiscard]] bool contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+  [[nodiscard]] std::string text() const {
+    std::string out(lo_open ? "(" : "[");
+    out += util::format_exact(lo) + ", " + util::format_exact(hi);
+    out += hi_open ? ')' : ']';
+    return out;
+  }
+};
+
+constexpr Range kNonNegative{};
+constexpr Range kPositive{0.0, kInf, true};
+constexpr Range kAtLeastOne{1.0};
+
+/// One row of the key table: the name in config files, the member it sets
+/// and, for numbers, its range.
+template <typename T>
+struct Key {
+  const char* name;
+  T C::*member;
+  Range range{};
+};
+template <typename T>
+Key(const char*, T C::*, Range = {}) -> Key<T>;
+
+/// Every configuration key, in describe() order. This is the only list.
+constexpr std::tuple kKeys{
+    Key{"num_users", &C::num_users, kAtLeastOne},
+    Key{"num_sites", &C::num_sites, kAtLeastOne},
+    Key{"min_compute_elements", &C::min_compute_elements, kAtLeastOne},
+    Key{"max_compute_elements", &C::max_compute_elements, kAtLeastOne},
+    Key{"compute_speed_spread", &C::compute_speed_spread, {0.0, 1.0}},
+    Key{"num_datasets", &C::num_datasets, kAtLeastOne},
+    Key{"min_dataset_mb", &C::min_dataset_mb, kPositive},
+    Key{"max_dataset_mb", &C::max_dataset_mb, kPositive},
+    Key{"link_bandwidth_mbps", &C::link_bandwidth_mbps, kPositive},
+    Key{"total_jobs", &C::total_jobs, kAtLeastOne},
+    Key{"geometric_p", &C::geometric_p, {0.0, 1.0, true}},
+    Key{"inputs_per_job", &C::inputs_per_job, kAtLeastOne},
+    Key{"compute_seconds_per_gb", &C::compute_seconds_per_gb, kPositive},
+    Key{"output_fraction", &C::output_fraction, kNonNegative},
+    Key{"user_focus", &C::user_focus, {0.0, 1.0, false, false}},
+    Key{"storage_capacity_mb", &C::storage_capacity_mb, kPositive},
+    Key{"replication_threshold", &C::replication_threshold, kPositive},
+    Key{"ds_check_period_s", &C::ds_check_period_s, kPositive},
+    Key{"popularity_half_life_s", &C::popularity_half_life_s, kNonNegative},
+    Key{"num_regions", &C::num_regions, kAtLeastOne},
+    Key{"topology", &C::topology},
+    Key{"backbone_bandwidth_multiplier", &C::backbone_bandwidth_multiplier, kPositive},
+    Key{"info_staleness_s", &C::info_staleness_s, kNonNegative},
+    Key{"es_mapping", &C::es_mapping},
+    Key{"central_decision_overhead_s", &C::central_decision_overhead_s, kNonNegative},
+    Key{"submission_mode", &C::submission_mode},
+    Key{"arrival_interval_s", &C::arrival_interval_s, kPositive},
+    Key{"es", &C::es},
+    Key{"ds", &C::ds},
+    Key{"ls", &C::ls},
+    Key{"replica_selection", &C::replica_selection},
+    Key{"ds_neighbor_scope", &C::ds_neighbor_scope},
+    Key{"share_policy", &C::share_policy},
+    Key{"realloc_mode", &C::realloc_mode},
+    Key{"fault_site_crash_rate_per_hour", &C::fault_site_crash_rate_per_hour, kNonNegative},
+    Key{"fault_site_downtime_s", &C::fault_site_downtime_s, kPositive},
+    Key{"fault_transfer_fail_prob", &C::fault_transfer_fail_prob, {0.0, 1.0}},
+    Key{"fault_catalog_loss_rate_per_hour", &C::fault_catalog_loss_rate_per_hour,
+        kNonNegative},
+    Key{"fault_horizon_s", &C::fault_horizon_s, kPositive},
+    Key{"fetch_retry_base_s", &C::fetch_retry_base_s, kPositive},
+    Key{"fetch_retry_max_s", &C::fetch_retry_max_s, kPositive},
+    Key{"fetch_max_retries", &C::fetch_max_retries, kAtLeastOne},
+    Key{"resubmit_backoff_s", &C::resubmit_backoff_s, kPositive},
+    Key{"max_job_resubmissions", &C::max_job_resubmissions, kAtLeastOne},
+    Key{"seed", &C::seed, kNonNegative},
+};
+
+template <typename Fn>
+void for_each_key(Fn&& fn) {
+  std::apply([&](const auto&... key) { (fn(key), ...); }, kKeys);
+}
+
+/// Parse `raw` into `field`; throws naming the key when malformed.
+template <typename T>
+void parse_value(const char* key, const std::string& raw, T& field) {
+  std::optional<T> v;
+  std::string expected;
+  if constexpr (std::is_enum_v<T>) {
+    v = enum_names(field).find(raw);
+    expected = "one of " + enum_names(field).choices();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = util::parse_double(raw);
+    expected = "a finite number";
+  } else {
+    T n{};
+    auto [end, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), n);
+    if (ec == std::errc{} && end == raw.data() + raw.size()) v = n;
+    expected = "a non-negative integer";
+  }
+  if (!v) {
+    throw util::SimError(std::string("config: ") + key + " expects " + expected + ", got '" +
+                         raw + "'");
+  }
+  field = *v;
+}
+
+template <typename T>
+std::string format_value(T v) {
+  if constexpr (std::is_enum_v<T>) {
+    return to_string(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return util::format_exact(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+}  // namespace
+
 void SimulationConfig::validate() const {
+  for_each_key([this](const auto& key) {
+    const auto& v = this->*key.member;
+    if constexpr (!std::is_enum_v<std::remove_cvref_t<decltype(v)>>) {
+      const auto x = static_cast<double>(v);
+      if (!std::isfinite(x) || !key.range.contains(x)) {
+        throw util::SimError(std::string("config: ") + key.name + " = " + format_value(v) +
+                             " is outside " + key.range.text());
+      }
+    }
+  });
   auto require = [](bool ok, const char* what) {
     if (!ok) throw util::SimError(std::string("config: ") + what);
   };
-  require(num_users > 0, "num_users must be positive");
-  require(num_sites > 0, "num_sites must be positive");
-  require(num_regions > 0 && num_regions <= num_sites,
-          "num_regions must be in [1, num_sites]");
-  require(min_compute_elements >= 1, "min_compute_elements must be >= 1");
+  require(num_regions <= num_sites, "num_regions must be <= num_sites");
   require(max_compute_elements >= min_compute_elements,
           "max_compute_elements must be >= min_compute_elements");
-  require(compute_speed_spread >= 0.0 && compute_speed_spread < 1.0,
-          "compute_speed_spread must be in [0, 1)");
-  require(num_datasets > 0, "num_datasets must be positive");
-  require(min_dataset_mb > 0.0, "min_dataset_mb must be positive");
   require(max_dataset_mb >= min_dataset_mb, "max_dataset_mb must be >= min_dataset_mb");
-  require(link_bandwidth_mbps > 0.0, "link_bandwidth_mbps must be positive");
-  require(total_jobs > 0, "total_jobs must be positive");
   require(total_jobs % num_users == 0, "total_jobs must divide evenly across users");
-  require(geometric_p > 0.0 && geometric_p < 1.0, "geometric_p must be in (0,1)");
-  require(inputs_per_job >= 1, "inputs_per_job must be >= 1");
   require(inputs_per_job <= num_datasets, "inputs_per_job exceeds dataset count");
-  require(compute_seconds_per_gb > 0.0, "compute_seconds_per_gb must be positive");
-  require(output_fraction >= 0.0, "output_fraction must be non-negative");
-  require(user_focus >= 0.0 && user_focus <= 1.0, "user_focus must be in [0, 1]");
-  require(backbone_bandwidth_multiplier > 0.0,
-          "backbone_bandwidth_multiplier must be positive");
   require(storage_capacity_mb >= max_dataset_mb,
           "storage_capacity_mb must hold at least one largest dataset");
-  require(replication_threshold > 0.0, "replication_threshold must be positive");
-  require(ds_check_period_s > 0.0, "ds_check_period_s must be positive");
-  require(central_decision_overhead_s >= 0.0,
-          "central_decision_overhead_s must be non-negative");
-  require(arrival_interval_s > 0.0, "arrival_interval_s must be positive");
-  require(fault_site_crash_rate_per_hour >= 0.0,
-          "fault_site_crash_rate_per_hour must be non-negative");
-  require(fault_site_downtime_s > 0.0, "fault_site_downtime_s must be positive");
-  require(fault_transfer_fail_prob >= 0.0 && fault_transfer_fail_prob < 1.0,
-          "fault_transfer_fail_prob must be in [0, 1)");
-  require(fault_catalog_loss_rate_per_hour >= 0.0,
-          "fault_catalog_loss_rate_per_hour must be non-negative");
-  require(fault_horizon_s > 0.0, "fault_horizon_s must be positive");
-  require(fetch_retry_base_s > 0.0, "fetch_retry_base_s must be positive");
   require(fetch_retry_max_s >= fetch_retry_base_s,
           "fetch_retry_max_s must be >= fetch_retry_base_s");
-  require(fetch_max_retries >= 1, "fetch_max_retries must be >= 1");
-  require(resubmit_backoff_s > 0.0, "resubmit_backoff_s must be positive");
-  require(max_job_resubmissions >= 1, "max_job_resubmissions must be >= 1");
   // Pinned masters must fit: expected load per site is
   // num_datasets/num_sites files of at most max_dataset_mb. We cannot know
   // the random placement here, so this is checked exactly at Grid build.
 }
 
 void SimulationConfig::apply(const util::ConfigFile& file) {
-  auto geti = [&](const char* key, std::size_t& field) {
-    if (auto v = file.get_int(key)) {
-      if (*v < 0) throw util::SimError(std::string("config: ") + key + " must be >= 0");
-      field = static_cast<std::size_t>(*v);
-    }
-  };
-  auto getd = [&](const char* key, double& field) {
-    if (auto v = file.get_double(key)) field = *v;
-  };
-  geti("num_users", num_users);
-  geti("num_sites", num_sites);
-  geti("min_compute_elements", min_compute_elements);
-  geti("max_compute_elements", max_compute_elements);
-  getd("compute_speed_spread", compute_speed_spread);
-  geti("num_datasets", num_datasets);
-  getd("min_dataset_mb", min_dataset_mb);
-  getd("max_dataset_mb", max_dataset_mb);
-  getd("link_bandwidth_mbps", link_bandwidth_mbps);
-  geti("total_jobs", total_jobs);
-  getd("geometric_p", geometric_p);
-  geti("inputs_per_job", inputs_per_job);
-  getd("compute_seconds_per_gb", compute_seconds_per_gb);
-  getd("output_fraction", output_fraction);
-  getd("user_focus", user_focus);
-  getd("backbone_bandwidth_multiplier", backbone_bandwidth_multiplier);
-  getd("storage_capacity_mb", storage_capacity_mb);
-  getd("replication_threshold", replication_threshold);
-  getd("ds_check_period_s", ds_check_period_s);
-  getd("popularity_half_life_s", popularity_half_life_s);
-  getd("info_staleness_s", info_staleness_s);
-  geti("num_regions", num_regions);
-  if (auto v = file.get("topology")) topology = topology_kind_from_string(*v);
-  if (auto v = file.get("es_mapping")) es_mapping = es_mapping_from_string(*v);
-  getd("central_decision_overhead_s", central_decision_overhead_s);
-  if (auto v = file.get("submission_mode")) {
-    submission_mode = submission_mode_from_string(*v);
+  for (const std::string& name : file.keys()) {
+    bool known = false;
+    for_each_key([&](const auto& key) {
+      if (name != key.name) return;
+      known = true;
+      parse_value(key.name, *file.get(name), this->*key.member);
+    });
+    if (!known) throw util::SimError("config: unknown key '" + name + "'");
   }
-  getd("arrival_interval_s", arrival_interval_s);
-  if (auto v = file.get("es")) es = es_from_string(*v);
-  if (auto v = file.get("ds")) ds = ds_from_string(*v);
-  if (auto v = file.get("ls")) ls = ls_from_string(*v);
-  if (auto v = file.get("replica_selection")) {
-    replica_selection = replica_selection_from_string(*v);
-  }
-  if (auto v = file.get("ds_neighbor_scope")) {
-    ds_neighbor_scope = neighbor_scope_from_string(*v);
-  }
-  if (auto v = file.get("share_policy")) {
-    std::string p = util::to_lower(*v);
-    if (p == "equalshare") {
-      share_policy = net::SharePolicy::EqualShare;
-    } else if (p == "maxmin") {
-      share_policy = net::SharePolicy::MaxMin;
-    } else if (p == "nocontention") {
-      share_policy = net::SharePolicy::NoContention;
-    } else {
-      throw util::SimError("config: unknown share_policy: " + *v);
-    }
-  }
-  if (auto v = file.get("realloc_mode")) {
-    std::string p = util::to_lower(*v);
-    if (p == "rescheduleall") {
-      realloc_mode = net::ReallocationMode::RescheduleAll;
-    } else if (p == "full") {
-      realloc_mode = net::ReallocationMode::Full;
-    } else if (p == "incremental") {
-      realloc_mode = net::ReallocationMode::Incremental;
-    } else {
-      throw util::SimError("config: unknown realloc_mode: " + *v);
-    }
-  }
-  getd("fault_site_crash_rate_per_hour", fault_site_crash_rate_per_hour);
-  getd("fault_site_downtime_s", fault_site_downtime_s);
-  getd("fault_transfer_fail_prob", fault_transfer_fail_prob);
-  getd("fault_catalog_loss_rate_per_hour", fault_catalog_loss_rate_per_hour);
-  getd("fault_horizon_s", fault_horizon_s);
-  getd("fetch_retry_base_s", fetch_retry_base_s);
-  getd("fetch_retry_max_s", fetch_retry_max_s);
-  geti("fetch_max_retries", fetch_max_retries);
-  getd("resubmit_backoff_s", resubmit_backoff_s);
-  geti("max_job_resubmissions", max_job_resubmissions);
-  if (auto v = file.get_int("seed")) seed = static_cast<std::uint64_t>(*v);
 }
 
 std::string SimulationConfig::describe() const {
-  std::string out;
-  auto line = [&out](const std::string& k, const std::string& v) {
-    out += "  " + k + " = " + v + "\n";
-  };
-  out += "SimulationConfig {\n";
-  line("num_users", std::to_string(num_users));
-  line("num_sites", std::to_string(num_sites));
-  line("compute_elements_per_site",
-       std::to_string(min_compute_elements) + "-" + std::to_string(max_compute_elements));
-  line("compute_speed_spread", util::format_fixed(compute_speed_spread, 2));
-  line("num_datasets", std::to_string(num_datasets));
-  line("dataset_size_mb", util::format_fixed(min_dataset_mb, 0) + "-" +
-                              util::format_fixed(max_dataset_mb, 0));
-  line("link_bandwidth_mbps", util::format_fixed(link_bandwidth_mbps, 0));
-  line("total_jobs", std::to_string(total_jobs));
-  line("jobs_per_user", std::to_string(jobs_per_user()));
-  line("geometric_p", util::format_fixed(geometric_p, 3));
-  line("inputs_per_job", std::to_string(inputs_per_job));
-  line("compute_seconds_per_gb", util::format_fixed(compute_seconds_per_gb, 0));
-  line("output_fraction", util::format_fixed(output_fraction, 3));
-  line("user_focus", util::format_fixed(user_focus, 2));
-  line("backbone_bandwidth_multiplier", util::format_fixed(backbone_bandwidth_multiplier, 2));
-  line("storage_capacity_mb", util::format_fixed(storage_capacity_mb, 0));
-  line("replication_threshold", util::format_fixed(replication_threshold, 1));
-  line("ds_check_period_s", util::format_fixed(ds_check_period_s, 0));
-  line("info_staleness_s", util::format_fixed(info_staleness_s, 0));
-  line("topology", to_string(topology));
-  line("num_regions", std::to_string(num_regions));
-  line("submission_mode", to_string(submission_mode));
-  if (submission_mode == SubmissionMode::OpenLoop) {
-    line("arrival_interval_s", util::format_fixed(arrival_interval_s, 1));
-  }
-  line("es_mapping", to_string(es_mapping));
-  if (es_mapping == EsMapping::Centralized) {
-    line("central_decision_overhead_s", util::format_fixed(central_decision_overhead_s, 2));
-  }
-  line("es", to_string(es));
-  line("ds", to_string(ds));
-  line("ls", to_string(ls));
-  line("replica_selection", to_string(replica_selection));
-  line("ds_neighbor_scope", to_string(ds_neighbor_scope));
-  line("share_policy", share_policy == net::SharePolicy::EqualShare   ? "EqualShare"
-                       : share_policy == net::SharePolicy::MaxMin     ? "MaxMin"
-                                                                      : "NoContention");
-  line("realloc_mode",
-       realloc_mode == net::ReallocationMode::RescheduleAll ? "RescheduleAll"
-       : realloc_mode == net::ReallocationMode::Full        ? "Full"
-                                                            : "Incremental");
-  if (faults_enabled()) {
-    line("fault_site_crash_rate_per_hour",
-         util::format_fixed(fault_site_crash_rate_per_hour, 3));
-    line("fault_site_downtime_s", util::format_fixed(fault_site_downtime_s, 0));
-    line("fault_transfer_fail_prob", util::format_fixed(fault_transfer_fail_prob, 3));
-    line("fault_catalog_loss_rate_per_hour",
-         util::format_fixed(fault_catalog_loss_rate_per_hour, 3));
-    line("fault_horizon_s", util::format_fixed(fault_horizon_s, 0));
-    line("fetch_retry_base_s", util::format_fixed(fetch_retry_base_s, 0));
-    line("fetch_retry_max_s", util::format_fixed(fetch_retry_max_s, 0));
-    line("fetch_max_retries", std::to_string(fetch_max_retries));
-    line("resubmit_backoff_s", util::format_fixed(resubmit_backoff_s, 0));
-    line("max_job_resubmissions", std::to_string(max_job_resubmissions));
-  }
-  line("seed", std::to_string(seed));
-  out += "}";
+  std::string out = "# SimulationConfig\n";
+  for_each_key([&](const auto& key) {
+    out += std::string(key.name) + " = " + format_value(this->*key.member) + "\n";
+  });
   return out;
 }
 

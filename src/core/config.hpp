@@ -141,15 +141,23 @@ struct SimulationConfig {
 
   [[nodiscard]] std::size_t jobs_per_user() const { return total_jobs / num_users; }
 
-  /// Throws util::SimError when inconsistent (zero sites, users not evenly
-  /// divisible into jobs, inverted ranges, ...).
+  /// Field-wise equality (round-trip tests compare whole configs).
+  bool operator==(const SimulationConfig&) const = default;
+
+  /// Throws util::SimError naming the offending key when a value is out of
+  /// its range or not finite, or when keys disagree (users not evenly
+  /// divisible into jobs, inverted min/max pairs, ...).
   void validate() const;
 
-  /// Overlay values from a parsed config file (keys match the field names,
-  /// e.g. `num_sites = 30`, `es = JobDataPresent`).
+  /// Overlay values from a parsed config file. The key table in config.cpp
+  /// is the full list of keys (they match the field names, e.g.
+  /// `num_sites = 30`, `es = JobDataPresent`); an unknown key or a
+  /// malformed value throws util::SimError naming the key.
   void apply(const util::ConfigFile& file);
 
-  /// Multi-line human-readable dump (the Table 1 echo in benches).
+  /// Every key as a `key = value` line, numbers printed round-trip exact:
+  /// apply(ConfigFile::parse(describe())) reproduces this config bit for
+  /// bit.
   [[nodiscard]] std::string describe() const;
 };
 

@@ -115,6 +115,9 @@ class Grid final {
   [[nodiscard]] const net::Routing& routing() const { return *routing_; }
   [[nodiscard]] const net::TransferManager& transfers() const { return *transfers_; }
   [[nodiscard]] const data::DatasetCatalog& datasets() const { return catalog_; }
+  /// The job stream this Grid runs (generated from the config, or the
+  /// replayed trace).
+  [[nodiscard]] const workload::Workload& workload() const { return *workload_; }
   [[nodiscard]] const data::ReplicaCatalog& replicas() const { return *replica_catalog_; }
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] const site::Site& site_at(data::SiteIndex s) const;

@@ -28,11 +28,6 @@ TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
       last_settle_(engine.now()),
       mode_(mode) {}
 
-void TransferManager::set_reschedule_tolerance(double tol) {
-  CHICSIM_ASSERT_MSG(tol >= 0.0, "reschedule tolerance must be non-negative");
-  reschedule_tolerance_ = tol;
-}
-
 void TransferManager::mark_link_dirty(LinkId link) {
   if (link_dirty_[link]) return;
   link_dirty_[link] = 1;
@@ -227,19 +222,11 @@ void TransferManager::reallocate() {
 void TransferManager::update_completion_event(TransferId id, Flow& f, double old_rate,
                                               util::SimTime now) {
   CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
-  if (mode_ != ReallocationMode::RescheduleAll && f.completion_event != sim::kNoEvent) {
-    bool unchanged = f.rate == old_rate ||
-                     (reschedule_tolerance_ > 0.0 &&
-                      std::abs(f.rate - old_rate) <=
-                          reschedule_tolerance_ * std::max(f.rate, old_rate));
-    if (unchanged) {
-      // Keep the event AND the old rate: the scheduled finish time was
-      // derived from old_rate, and with tolerance 0 the two are bit-equal
-      // anyway, so settle() keeps advancing the flow consistently.
-      f.rate = old_rate;
-      ++stats_.reschedules_skipped;
-      return;
-    }
+  if (mode_ != ReallocationMode::RescheduleAll && f.completion_event != sim::kNoEvent &&
+      f.rate == old_rate) {
+    // The scheduled finish time was derived from this very rate: keep it.
+    ++stats_.reschedules_skipped;
+    return;
   }
   if (f.completion_event != sim::kNoEvent) {
     (void)engine_.cancel(f.completion_event);

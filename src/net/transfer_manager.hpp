@@ -35,6 +35,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "util/enum_names.hpp"
 #include "util/units.hpp"
 
 namespace chicsim::net {
@@ -76,6 +77,14 @@ enum class ReallocationMode : std::uint8_t {
   Full,
   Incremental,
 };
+
+constexpr auto enum_names(SharePolicy) {
+  return util::enum_table<SharePolicy>("share policy", "EqualShare", "MaxMin", "NoContention");
+}
+constexpr auto enum_names(ReallocationMode) {
+  return util::enum_table<ReallocationMode>("reallocation mode", "RescheduleAll", "Full",
+                                            "Incremental");
+}
 
 /// Why a transfer was initiated; used to split accounting between
 /// job-driven fetches, DS-driven replication (Figure 3b counts both) and
@@ -171,18 +180,6 @@ class TransferManager {
   [[nodiscard]] SharePolicy policy() const { return policy_; }
   [[nodiscard]] ReallocationMode reallocation_mode() const { return mode_; }
 
-  /// Switch the reallocation strategy (A/B testing hook; safe at any time —
-  /// the mode only governs how the next reallocation updates the calendar).
-  void set_reallocation_mode(ReallocationMode mode) { mode_ = mode; }
-
-  /// Relative tolerance below which a rate change does not trigger a
-  /// reschedule (the flow keeps its old rate and finish time). The default
-  /// 0 skips only bit-identical rates, which preserves exact semantics;
-  /// a positive tolerance trades bounded finish-time error for fewer
-  /// calendar updates. Ignored under RescheduleAll.
-  void set_reschedule_tolerance(double tol);
-  [[nodiscard]] double reschedule_tolerance() const { return reschedule_tolerance_; }
-
  private:
   struct Flow {
     NodeId src = kNoNode;
@@ -209,8 +206,8 @@ class TransferManager {
   void compute_rates_max_min();
 
   /// Cancel + reschedule `f`'s completion event for its (already updated)
-  /// rate — or keep the event when the rate is unchanged within the
-  /// tolerance (and the mode allows keeping it).
+  /// rate — or keep the event when the rate is bit-identical to `old_rate`
+  /// (and the mode allows keeping it).
   void update_completion_event(TransferId id, Flow& f, double old_rate, util::SimTime now);
 
   /// Mark a link whose flow count or capacity changed since the last
@@ -258,7 +255,6 @@ class TransferManager {
   util::SimTime last_settle_ = 0.0;
   TransferId next_id_ = 1;
   ReallocationMode mode_;
-  double reschedule_tolerance_ = 0.0;
   TransferStats stats_;
 };
 

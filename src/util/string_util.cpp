@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace chicsim::util {
 
@@ -57,9 +59,8 @@ std::optional<double> parse_double(std::string_view s) {
   // std::from_chars for double is available in libstdc++ 11+, but strtod via
   // a bounded copy is simpler and locale-stable enough for config files.
   char* end = nullptr;
-  std::string buf(t);
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
+  double v = std::strtod(t.c_str(), &end);
+  if (end != t.c_str() + t.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 
@@ -77,6 +78,12 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
     out += pieces[i];
   }
   return out;
+}
+
+std::string format_exact(double v) {
+  char buf[64];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, end);
 }
 
 std::string format_fixed(double v, int precision) {

@@ -23,12 +23,16 @@ namespace chicsim::util {
 
 /// Parse helpers returning std::nullopt on malformed input instead of
 /// throwing, so callers can produce contextual error messages.
+/// parse_double accepts finite numbers only ("nan" and "inf" are malformed).
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s);
 [[nodiscard]] std::optional<double> parse_double(std::string_view s);
 [[nodiscard]] std::optional<bool> parse_bool(std::string_view s);
 
 /// Join pieces with `sep` ("a,b,c" style).
 [[nodiscard]] std::string join(const std::vector<std::string>& pieces, std::string_view sep);
+
+/// Shortest text that parses back to exactly `v` (12.5, 0.0525, 1e-07).
+[[nodiscard]] std::string format_exact(double v);
 
 /// Format a double with fixed precision (used by table/CSV writers).
 [[nodiscard]] std::string format_fixed(double v, int precision);

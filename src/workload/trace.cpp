@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <map>
+#include <set>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -17,7 +18,7 @@ void save_trace(const Workload& workload, std::ostream& out) {
     input_strs.reserve(job->inputs.size());
     for (auto d : job->inputs) input_strs.push_back(std::to_string(d));
     csv.row({std::to_string(job->id), std::to_string(job->user),
-             std::to_string(job->origin_site), util::format_fixed(job->runtime_s, 6),
+             std::to_string(job->origin_site), util::format_exact(job->runtime_s),
              util::join(input_strs, ";")});
   }
 }
@@ -37,6 +38,7 @@ Workload load_trace(std::istream& in) {
   std::size_t c_inputs = table.column_index("inputs");
 
   std::map<site::UserId, std::vector<site::Job>> by_user;
+  std::set<site::JobId> ids;
   for (const auto& row : table.rows) {
     site::Job job;
     auto id = util::parse_int(row[c_id]);
@@ -47,6 +49,7 @@ Workload load_trace(std::istream& in) {
       throw util::SimError("trace: malformed row for job " + row[c_id]);
     }
     job.id = static_cast<site::JobId>(*id);
+    if (!ids.insert(job.id).second) throw util::SimError("trace: duplicate job id " + row[c_id]);
     job.user = static_cast<site::UserId>(*user);
     job.origin_site = static_cast<data::SiteIndex>(*origin);
     job.runtime_s = *runtime;

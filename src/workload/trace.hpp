@@ -14,12 +14,13 @@
 namespace chicsim::workload {
 
 /// Serialise a workload as CSV: job_id,user,origin_site,runtime_s,inputs
-/// with inputs `;`-separated.
+/// with inputs `;`-separated and runtimes written round-trip exact.
 void save_trace(const Workload& workload, std::ostream& out);
 void save_trace_file(const Workload& workload, const std::string& path);
 
 /// Parse a trace back into a Workload. Jobs are grouped by user in row
-/// order; ids are taken from the file. Throws SimError on malformed rows.
+/// order; ids are taken from the file. Throws SimError on malformed rows
+/// and duplicate job ids.
 [[nodiscard]] Workload load_trace(std::istream& in);
 [[nodiscard]] Workload load_trace_file(const std::string& path);
 

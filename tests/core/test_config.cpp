@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -115,6 +121,175 @@ TEST(Config, DescribeMentionsEveryKnob) {
         "ds_neighbor_scope"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+}
+
+SimulationConfig round_trip(const SimulationConfig& cfg) {
+  SimulationConfig back;
+  back.apply(util::ConfigFile::parse(cfg.describe()));
+  return back;
+}
+
+TEST(Config, DescribeRoundTripsDefaults) {
+  SimulationConfig cfg;
+  EXPECT_EQ(round_trip(cfg), cfg);
+  EXPECT_EQ(round_trip(cfg).describe(), cfg.describe());
+}
+
+TEST(Config, DescribeRoundTripsEveryKeyBitExact) {
+  // Every field off its default, so a key missing from describe() or
+  // apply() would come back as the default and fail the comparison.
+  SimulationConfig cfg;
+  cfg.num_users = 60;
+  cfg.num_sites = 12;
+  cfg.min_compute_elements = 3;
+  cfg.max_compute_elements = 7;
+  cfg.compute_speed_spread = 0.25;
+  cfg.num_datasets = 150;
+  cfg.min_dataset_mb = 400.75;
+  cfg.max_dataset_mb = 1999.5;
+  cfg.link_bandwidth_mbps = 12.5;
+  cfg.total_jobs = 600;
+  cfg.geometric_p = 0.0525;
+  cfg.inputs_per_job = 2;
+  cfg.compute_seconds_per_gb = 123.456;
+  cfg.output_fraction = 0.1;
+  cfg.user_focus = 1.0 / 3.0;
+  cfg.storage_capacity_mb = 45678.9;
+  cfg.replication_threshold = 7.5;
+  cfg.ds_check_period_s = 299.9;
+  cfg.popularity_half_life_s = 1800.0;
+  cfg.num_regions = 4;
+  cfg.topology = TopologyKind::Star;
+  cfg.backbone_bandwidth_multiplier = 2.5;
+  cfg.info_staleness_s = 0.1 + 0.2;  // 0.30000000000000004
+  cfg.es_mapping = EsMapping::Centralized;
+  cfg.central_decision_overhead_s = 0.75;
+  cfg.submission_mode = SubmissionMode::OpenLoop;
+  cfg.arrival_interval_s = 450.5;
+  cfg.es = EsAlgorithm::JobBestEstimate;
+  cfg.ds = DsAlgorithm::DataFastSpread;
+  cfg.ls = LsAlgorithm::Sjf;
+  cfg.replica_selection = ReplicaSelection::LeastLoadedSource;
+  cfg.ds_neighbor_scope = NeighborScope::Region;
+  cfg.share_policy = net::SharePolicy::NoContention;
+  cfg.realloc_mode = net::ReallocationMode::Full;
+  cfg.fault_site_crash_rate_per_hour = 0.02;
+  cfg.fault_site_downtime_s = 1234.5;
+  cfg.fault_transfer_fail_prob = 0.05;
+  cfg.fault_catalog_loss_rate_per_hour = 1e-3;
+  cfg.fault_horizon_s = 43200.0;
+  cfg.fetch_retry_base_s = 15.0;
+  cfg.fetch_retry_max_s = 900.0;
+  cfg.fetch_max_retries = 12;
+  cfg.resubmit_backoff_s = 90.0;
+  cfg.max_job_resubmissions = 25;
+  cfg.seed = std::numeric_limits<std::uint64_t>::max();
+  ASSERT_NO_THROW(cfg.validate());
+  ASSERT_TRUE(cfg.faults_enabled());
+
+  SimulationConfig back = round_trip(cfg);
+  // Equal doubles other than +-0 are the same bits; describe() also tells
+  // -0 from 0.
+  EXPECT_EQ(back, cfg) << cfg.describe();
+  EXPECT_EQ(back.describe(), cfg.describe());
+  EXPECT_NE(cfg.describe().find("link_bandwidth_mbps = 12.5\n"), std::string::npos);
+  EXPECT_NE(cfg.describe().find("geometric_p = 0.0525\n"), std::string::npos);
+}
+
+TEST(Config, DescribePrintsOnlyKeys) {
+  // Every line but the comment header is a key apply() accepts, once.
+  SimulationConfig cfg;
+  std::vector<std::string> seen;
+  for (const std::string& line : util::split(cfg.describe(), '\n')) {
+    if (line.empty() || line.front() == '#') continue;
+    std::string key = util::trim(line.substr(0, line.find('=')));
+    EXPECT_NO_THROW(cfg.apply(util::ConfigFile::parse(line))) << line;
+    for (const auto& k : seen) EXPECT_NE(k, key);
+    seen.push_back(key);
+  }
+  EXPECT_NE(cfg.describe().find("popularity_half_life_s = 0\n"), std::string::npos);
+}
+
+/// Applies `text` then validates; expects a SimError that names `key`.
+void expect_rejected(const std::string& text, const std::string& key) {
+  SimulationConfig cfg;
+  try {
+    cfg.apply(util::ConfigFile::parse(text));
+    cfg.validate();
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << text << " -> " << e.what();
+  }
+}
+
+TEST(Config, RejectionsNameTheKey) {
+  expect_rejected("jbos = 5\n", "jbos");
+  expect_rejected("info_staleness_s = nan\n", "info_staleness_s");
+  expect_rejected("info_staleness_s = -1\n", "info_staleness_s");
+  expect_rejected("popularity_half_life_s = -5\n", "popularity_half_life_s");
+  expect_rejected("seed = -1\n", "seed");
+  expect_rejected("realloc_mode = bogus\n", "realloc_mode");
+  expect_rejected("geometric_p = 1\n", "geometric_p");
+}
+
+TEST(Config, EveryKeyRejectsNan) {
+  SimulationConfig defaults;
+  for (const std::string& line : util::split(defaults.describe(), '\n')) {
+    if (line.empty() || line.front() == '#') continue;
+    std::string key = util::trim(line.substr(0, line.find('=')));
+    expect_rejected(key + " = nan\n", key);
+  }
+}
+
+TEST(Config, ValidateRejectsNonFiniteDoubles) {
+  SimulationConfig cfg;
+  cfg.link_bandwidth_mbps = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(cfg.validate(), util::SimError);
+  cfg = SimulationConfig{};
+  cfg.user_focus = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(cfg.validate(), util::SimError);
+}
+
+/// Backticked spans of one table cell: "`a`, `b`" -> {a, b}.
+std::vector<std::string> backticked(const std::string& cell) {
+  std::vector<std::string> out;
+  for (std::size_t b = cell.find('`'); b != std::string::npos; b = cell.find('`', b + 1)) {
+    std::size_t e = cell.find('`', b + 1);
+    out.push_back(cell.substr(b + 1, e - b - 1));
+    b = e;
+  }
+  return out;
+}
+
+TEST(Config, ReadmeKnobTableMatchesKeysAndDefaults) {
+  std::ifstream in(CHICSIM_README_PATH);
+  ASSERT_TRUE(in) << CHICSIM_README_PATH;
+  std::string line;
+  bool in_table = false;
+  std::size_t knobs = 0;
+  while (std::getline(in, line)) {
+    if (line.starts_with("| knob | default |")) {
+      in_table = true;
+    } else if (in_table && !line.starts_with("|")) {
+      break;
+    } else if (in_table && !line.starts_with("|---")) {
+      auto cells = util::split(line, '|');
+      ASSERT_GE(cells.size(), 3u) << line;
+      auto keys = backticked(cells[1]);
+      auto defaults = backticked(cells[2]);
+      ASSERT_EQ(keys.size(), defaults.size()) << line;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Applying the stated default to the defaults must change nothing.
+        SimulationConfig cfg;
+        EXPECT_NO_THROW(cfg.apply(util::ConfigFile::parse(keys[i] + " = " + defaults[i])))
+            << keys[i];
+        EXPECT_EQ(cfg, SimulationConfig{}) << keys[i] << " default " << defaults[i];
+        ++knobs;
+      }
+    }
+  }
+  EXPECT_GE(knobs, 10u);
 }
 
 TEST(Config, StalenessDefaultIsDocumentedValue) {

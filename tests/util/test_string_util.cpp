@@ -75,6 +75,13 @@ TEST(StringUtil, ParseDoubleRejectsGarbage) {
   EXPECT_FALSE(parse_double("x").has_value());
 }
 
+TEST(StringUtil, ParseDoubleRejectsNonFinite) {
+  for (const char* s : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf", "Infinity", "1e999"}) {
+    EXPECT_FALSE(parse_double(s).has_value()) << s;
+  }
+  EXPECT_DOUBLE_EQ(parse_double("1e300").value(), 1e300);
+}
+
 TEST(StringUtil, ParseBoolAcceptsCommonForms) {
   EXPECT_TRUE(parse_bool("true").value());
   EXPECT_TRUE(parse_bool("YES").value());
@@ -96,6 +103,15 @@ TEST(StringUtil, JoinConcatenatesWithSeparator) {
   EXPECT_EQ(join({"a", "b", "c"}, ","), "a,b,c");
   EXPECT_EQ(join({"only"}, ";"), "only");
   EXPECT_EQ(join({}, ","), "");
+}
+
+TEST(StringUtil, FormatExactRoundTrips) {
+  EXPECT_EQ(format_exact(12.5), "12.5");
+  EXPECT_EQ(format_exact(0.0525), "0.0525");
+  EXPECT_EQ(format_exact(300.0), "300");
+  for (double v : {0.1, 1.0 / 3.0, 2.0e-7, 1e300, 5e-324, -42.125}) {
+    EXPECT_EQ(parse_double(format_exact(v)).value(), v) << format_exact(v);
+  }
 }
 
 TEST(StringUtil, FormatFixedControlsPrecision) {

@@ -39,7 +39,7 @@ TEST(Trace, RoundTripPreservesJobs) {
       EXPECT_EQ(a[i].user, b[i].user);
       EXPECT_EQ(a[i].origin_site, b[i].origin_site);
       EXPECT_EQ(a[i].inputs, b[i].inputs);
-      EXPECT_NEAR(a[i].runtime_s, b[i].runtime_s, 1e-5);
+      EXPECT_EQ(a[i].runtime_s, b[i].runtime_s);  // written round-trip exact
     }
   }
 }
@@ -71,6 +71,19 @@ TEST(Trace, MalformedRowsThrow) {
   EXPECT_THROW((void)load_trace(bad3), util::SimError);
   std::istringstream bad4("job_id,user,origin_site,runtime_s,inputs\n1,0,0,1.0,\n");
   EXPECT_THROW((void)load_trace(bad4), util::SimError);
+}
+
+TEST(Trace, DuplicateJobIdsThrow) {
+  std::istringstream in(
+      "job_id,user,origin_site,runtime_s,inputs\n1,0,0,1.0,1\n1,0,0,2.0,1\n");
+  EXPECT_THROW((void)load_trace(in), util::SimError);
+}
+
+TEST(Trace, NonFiniteRuntimeThrows) {
+  std::istringstream nan("job_id,user,origin_site,runtime_s,inputs\n1,0,0,nan,1\n");
+  EXPECT_THROW((void)load_trace(nan), util::SimError);
+  std::istringstream inf("job_id,user,origin_site,runtime_s,inputs\n1,0,0,inf,1\n");
+  EXPECT_THROW((void)load_trace(inf), util::SimError);
 }
 
 TEST(Trace, NonDenseUsersThrow) {
