@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "core/grid.hpp"
-#include "util/histogram.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {

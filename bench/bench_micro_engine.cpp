@@ -5,12 +5,14 @@
 //
 // Invoked with --engine-json=PATH the binary skips google-benchmark and
 // instead runs the transfer-churn workload once per reallocation mode
-// (RescheduleAll / Full / Incremental), timing each with std::chrono and
-// writing a machine-readable JSON report (events/sec, flows/sec, peak
-// calendar heap, tombstone ratio, speedup of Incremental over the legacy
-// RescheduleAll baseline). scripts/bench_report.sh uses this to produce
-// BENCH_engine.json; the process exits non-zero if the speedup regresses
-// below 2x.
+// (Full / Incremental), timing each with std::chrono and writing a
+// machine-readable JSON report (events/sec, flows/sec, calendar counts,
+// peak pending events). Its gate is exact, not timed: calendar_work_ratio
+// is the number of flows Incremental walked divided by the calendar pushes
+// it made, i.e. how much calendar work skipping unchanged flows saves over
+// rescheduling every walked flow. scripts/bench_report.sh uses this to
+// produce BENCH_engine.json; the process exits non-zero if the ratio falls
+// below 2.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -38,8 +40,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto& t : times) t = rng.uniform(0.0, 1e6);
   for (auto _ : state) {
     sim::EventQueue q;
-    sim::EventId id = 1;
-    for (double t : times) q.push(sim::Event{t, id++, [] {}});
+    for (double t : times) q.push(t, [] {});
     while (!q.empty()) benchmark::DoNotOptimize(q.pop());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -160,7 +161,6 @@ struct ChurnResult {
   std::uint64_t event_pushes = 0;
   std::uint64_t event_cancels = 0;
   std::uint64_t peak_heap_size = 0;
-  std::uint64_t compactions = 0;
   std::uint64_t flows_rescheduled = 0;
   std::uint64_t reschedules_skipped = 0;
   std::uint64_t rate_recomputes_skipped = 0;
@@ -171,16 +171,16 @@ struct ChurnResult {
   [[nodiscard]] double flows_per_sec() const {
     return static_cast<double>(flows_completed) / wall_s;
   }
-  [[nodiscard]] double tombstone_ratio() const {
-    return event_pushes == 0
-               ? 0.0
-               : static_cast<double>(event_cancels) / static_cast<double>(event_pushes);
+  /// Every flow reallocate() looked at: rescheduled, kept, or skipped at
+  /// the dirty-link check.
+  [[nodiscard]] std::uint64_t flows_walked() const {
+    return flows_rescheduled + reschedules_skipped + rate_recomputes_skipped;
   }
 };
 
 /// The BM_TransferChurn workload (same topology, seed, and flow mix), run
-/// once per call; every completion reallocates over all remaining flows, so
-/// the legacy mode pays O(flows) calendar cancel+push pairs per completion.
+/// once per call; every start and completion reallocates over all active
+/// flows.
 ChurnResult run_churn_once(net::ReallocationMode mode, std::size_t flows) {
   sim::Engine engine;
   net::Topology topo = net::build_hierarchy({30, 6, 10.0});
@@ -206,7 +206,6 @@ ChurnResult run_churn_once(net::ReallocationMode mode, std::size_t flows) {
   r.event_pushes = engine.queue().total_pushes();
   r.event_cancels = engine.queue().total_cancels();
   r.peak_heap_size = engine.queue().peak_heap_size();
-  r.compactions = engine.queue().compactions();
   r.flows_rescheduled = tm.stats().flows_rescheduled;
   r.reschedules_skipped = tm.stats().reschedules_skipped;
   r.rate_recomputes_skipped = tm.stats().rate_recomputes_skipped;
@@ -234,9 +233,7 @@ void write_mode_json(std::ofstream& out, const char* key, const ChurnResult& r,
       << "      \"flows_per_sec\": " << r.flows_per_sec() << ",\n"
       << "      \"event_pushes\": " << r.event_pushes << ",\n"
       << "      \"event_cancels\": " << r.event_cancels << ",\n"
-      << "      \"tombstone_ratio\": " << r.tombstone_ratio() << ",\n"
       << "      \"peak_heap_size\": " << r.peak_heap_size << ",\n"
-      << "      \"queue_compactions\": " << r.compactions << ",\n"
       << "      \"flows_rescheduled\": " << r.flows_rescheduled << ",\n"
       << "      \"reschedules_skipped\": " << r.reschedules_skipped << ",\n"
       << "      \"rate_recomputes_skipped\": " << r.rate_recomputes_skipped << "\n"
@@ -269,25 +266,24 @@ int run_engine_json(const std::string& path) {
   std::printf("transfer-churn A/B (%zu flows, hierarchy 30x6 @ 10 MB/s, best of %d)\n",
               kFlows, kRepeats);
 
-  ChurnResult legacy = run_churn(net::ReallocationMode::RescheduleAll, kFlows, kRepeats);
   ChurnResult full = run_churn(net::ReallocationMode::Full, kFlows, kRepeats);
   ChurnResult incr = run_churn(net::ReallocationMode::Incremental, kFlows, kRepeats);
 
   auto report = [](const char* name, const ChurnResult& r) {
     std::printf(
-        "  %-14s %8.3f s  %12.0f events/s  %9.0f flows/s  peak heap %6llu  "
-        "tombstone ratio %.3f\n",
+        "  %-12s %8.3f s  %12.0f events/s  %9.0f flows/s  pushes %8llu  peak heap %6llu\n",
         name, r.wall_s, r.events_per_sec(), r.flows_per_sec(),
-        static_cast<unsigned long long>(r.peak_heap_size), r.tombstone_ratio());
+        static_cast<unsigned long long>(r.event_pushes),
+        static_cast<unsigned long long>(r.peak_heap_size));
   };
-  report("reschedule_all", legacy);
   report("full", full);
   report("incremental", incr);
 
-  const double speedup = incr.events_per_sec() / legacy.events_per_sec();
-  const bool pass = speedup >= 2.0;
-  std::printf("incremental vs legacy speedup: %.2fx  [%s] (target: >= 2x)\n", speedup,
-              pass ? "PASS" : "FAIL");
+  const double work_ratio =
+      static_cast<double>(incr.flows_walked()) / static_cast<double>(incr.event_pushes);
+  const bool pass = work_ratio >= 2.0;
+  std::printf("calendar work ratio (flows walked / pushes): %.2f  [%s] (target: >= 2)\n",
+              work_ratio, pass ? "PASS" : "FAIL");
 
   std::string profile_json = run_profiled_simulation();
 
@@ -303,12 +299,12 @@ int run_engine_json(const std::string& path) {
       << "  \"topology\": {\"sites\": 30, \"sites_per_region\": 6, "
          "\"bandwidth_mbps\": 10.0},\n"
       << "  \"modes\": {\n";
-  write_mode_json(out, "reschedule_all", legacy, ",");
   write_mode_json(out, "full", full, ",");
   write_mode_json(out, "incremental", incr, "");
   out << "  },\n"
       << "  \"profile\": " << profile_json << ",\n"
-      << "  \"speedup_events_per_sec\": " << speedup << ",\n"
+      << "  \"flows_walked\": " << incr.flows_walked() << ",\n"
+      << "  \"calendar_work_ratio\": " << work_ratio << ",\n"
       << "  \"pass_2x\": " << (pass ? "true" : "false") << "\n"
       << "}\n";
   std::printf("engine report written to %s\n", path.c_str());

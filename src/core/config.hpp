@@ -89,8 +89,7 @@ struct SimulationConfig {
   NeighborScope ds_neighbor_scope = NeighborScope::Grid;
   net::SharePolicy share_policy = net::SharePolicy::EqualShare;
   /// How the TransferManager turns rate changes into calendar updates (see
-  /// net::ReallocationMode). Incremental and Full are bit-identical;
-  /// RescheduleAll is the pre-optimization behaviour kept as a baseline.
+  /// net::ReallocationMode). Incremental and Full are bit-identical.
   net::ReallocationMode realloc_mode = net::ReallocationMode::Incremental;
 
   // --- fault injection and recovery (docs/robustness.md) ---

@@ -21,10 +21,6 @@ void ExperimentRunner::set_progress(std::function<void(const std::string&)> prog
   progress_ = std::move(progress);
 }
 
-void ExperimentRunner::set_cell_threads(unsigned threads) {
-  cell_threads_ = threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-}
-
 void ExperimentRunner::report_progress(const std::string& line) const {
   if (!progress_) return;
   std::lock_guard<std::mutex> lock(progress_mutex_);
@@ -42,43 +38,15 @@ CellResult ExperimentRunner::run_cell(EsAlgorithm es, DsAlgorithm ds) const {
   cell.es = es;
   cell.ds = ds;
 
-  // Per-seed runs are independent (each Grid owns its whole world and
-  // derives every RNG stream from its own config.seed), so they can be
-  // spread over worker threads. Each run writes into its own slot; the
-  // fold below walks the slots in seed order, so the accumulation order —
-  // and therefore every floating-point sum — is identical for any thread
-  // count, including the serial path.
-  std::vector<RunMetrics> per_seed(seeds_.size());
-  auto run_one = [&](std::size_t i) {
+  util::OnlineStats response;
+  for (std::uint64_t seed : seeds_) {
     SimulationConfig config = base_;
     config.es = es;
     config.ds = ds;
-    config.seed = seeds_[i];
-    per_seed[i] = run_single(config);
+    config.seed = seed;
+    RunMetrics m = run_single(config);
     report_progress(std::string(to_string(es)) + "+" + to_string(ds) + " seed " +
-                    std::to_string(seeds_[i]) + " done");
-  };
-  const unsigned threads = std::min<unsigned>(std::max(1u, cell_threads_),
-                                              static_cast<unsigned>(seeds_.size()));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < seeds_.size(); ++i) run_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= seeds_.size()) return;
-        run_one(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
-  util::OnlineStats response;
-  for (RunMetrics& m : per_seed) {
+                    std::to_string(seed) + " done");
     response.add(m.avg_response_time_s);
     cell.avg_response_time_s += m.avg_response_time_s;
     cell.avg_data_per_job_mb += m.avg_data_per_job_mb;
@@ -111,46 +79,29 @@ CellResult ExperimentRunner::run_cell(EsAlgorithm es, DsAlgorithm ds) const {
 
 std::vector<CellResult> ExperimentRunner::run_matrix(
     const std::vector<EsAlgorithm>& es_algorithms,
-    const std::vector<DsAlgorithm>& ds_algorithms) const {
-  std::vector<CellResult> out;
-  out.reserve(es_algorithms.size() * ds_algorithms.size());
-  for (EsAlgorithm es : es_algorithms) {
-    for (DsAlgorithm ds : ds_algorithms) {
-      out.push_back(run_cell(es, ds));
-    }
-  }
-  return out;
-}
-
-std::vector<CellResult> ExperimentRunner::run_matrix_parallel(
-    const std::vector<EsAlgorithm>& es_algorithms,
     const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads) const {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t cells = es_algorithms.size() * ds_algorithms.size();
   std::vector<CellResult> out(cells);
-  if (cells == 0) return out;
   threads = std::min<unsigned>(threads, static_cast<unsigned>(cells));
 
   // Work stealing over a shared atomic index: each worker claims the next
   // unstarted cell and writes into its own slot — no locking needed on the
-  // results. Per-seed progress is forwarded to the shared callback through
-  // report_progress(), which serialises concurrent workers with a mutex.
-  // Solo runners keep cell_threads at 1: the matrix already saturates the
-  // pool, nesting per-seed threads would only oversubscribe it.
+  // results. run_cell() only reads the runner, and report_progress()
+  // serialises concurrent workers with a mutex.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     while (true) {
       std::size_t idx = next.fetch_add(1);
       if (idx >= cells) return;
-      EsAlgorithm es = es_algorithms[idx / ds_algorithms.size()];
-      DsAlgorithm ds = ds_algorithms[idx % ds_algorithms.size()];
-      ExperimentRunner solo(base_, seeds_);
-      if (progress_) {
-        solo.set_progress([this](const std::string& line) { report_progress(line); });
-      }
-      out[idx] = solo.run_cell(es, ds);
+      out[idx] = run_cell(es_algorithms[idx / ds_algorithms.size()],
+                          ds_algorithms[idx % ds_algorithms.size()]);
     }
   };
+  if (threads <= 1) {
+    worker();
+    return out;
+  }
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);

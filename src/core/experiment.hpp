@@ -56,35 +56,21 @@ class ExperimentRunner {
 
   void set_progress(std::function<void(const std::string&)> progress);
 
-  /// Number of worker threads run_cell spreads its seeds over (work
-  /// stealing on a shared index). 1 = serial (the default); 0 = hardware
-  /// concurrency. Serial and parallel runs produce bit-identical
-  /// CellResults: each Grid derives every RNG stream from its own
-  /// config.seed, per-seed metrics land in per-seed slots, and the fold
-  /// walks the slots in seed order regardless of completion order.
-  void set_cell_threads(unsigned threads);
-  [[nodiscard]] unsigned cell_threads() const { return cell_threads_; }
-
   /// Run one simulation (seed taken from the config).
   [[nodiscard]] static RunMetrics run_single(const SimulationConfig& config);
 
   /// Run one algorithm pair over all seeds and average.
   [[nodiscard]] CellResult run_cell(EsAlgorithm es, DsAlgorithm ds) const;
 
-  /// Full grid: one CellResult per (es, ds), es-major order.
+  /// Full grid: one CellResult per (es, ds), es-major order, with cells
+  /// distributed over `threads` worker threads (1 = run inline, 0 = the
+  /// hardware concurrency). Simulations are independent (each Grid owns its
+  /// whole world and every RNG stream derives from the per-run seed), so
+  /// results are bit-identical for any thread count. The progress callback
+  /// (if set) fires from every worker, serialised through a mutex.
   [[nodiscard]] std::vector<CellResult> run_matrix(
       const std::vector<EsAlgorithm>& es_algorithms,
-      const std::vector<DsAlgorithm>& ds_algorithms) const;
-
-  /// Same matrix, with cells distributed over `threads` worker threads.
-  /// Simulations are independent (each Grid owns its whole world and every
-  /// RNG stream derives from the per-run seed), so results are bit-
-  /// identical to the serial runner for any thread count. `threads` == 0
-  /// uses the hardware concurrency. The progress callback (if set) is
-  /// forwarded from every worker, serialised through a mutex.
-  [[nodiscard]] std::vector<CellResult> run_matrix_parallel(
-      const std::vector<EsAlgorithm>& es_algorithms,
-      const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads) const;
+      const std::vector<DsAlgorithm>& ds_algorithms, unsigned threads = 1) const;
 
   [[nodiscard]] const SimulationConfig& base_config() const { return base_; }
   [[nodiscard]] const std::vector<std::uint64_t>& seeds() const { return seeds_; }
@@ -96,7 +82,6 @@ class ExperimentRunner {
   SimulationConfig base_;
   std::vector<std::uint64_t> seeds_;
   std::function<void(const std::string&)> progress_;
-  unsigned cell_threads_ = 1;
   mutable std::mutex progress_mutex_;
 };
 

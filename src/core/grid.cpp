@@ -52,8 +52,18 @@ void Grid::build_world() {
 void Grid::wire_services() {
   for (site::UserId u = 0; u < workload_->num_users(); ++u) {
     for (const site::Job& tmpl : workload_->jobs_of(u)) {
+      auto reject = [&](const std::string& what) {
+        throw util::SimError("job " + std::to_string(tmpl.id) + ": " + what);
+      };
+      if (tmpl.origin_site >= sites_.size()) {
+        reject("origin site " + std::to_string(tmpl.origin_site) + " out of range (grid has " +
+               std::to_string(sites_.size()) + " sites)");
+      }
       for (auto input : tmpl.inputs) {
-        CHICSIM_ASSERT_MSG(input < catalog_.size(), "job references unknown dataset");
+        if (input >= catalog_.size()) {
+          reject("dataset " + std::to_string(input) + " out of range (catalog has " +
+                 std::to_string(catalog_.size()) + " datasets)");
+        }
       }
     }
   }
@@ -189,7 +199,6 @@ void Grid::finish_run() {
   metrics_.event_pushes = engine_.queue().total_pushes();
   metrics_.event_cancels = engine_.queue().total_cancels();
   metrics_.peak_heap_size = engine_.queue().peak_heap_size();
-  metrics_.queue_compactions = engine_.queue().compactions();
   const net::TransferStats& ts = transfers_->stats();
   metrics_.transfers_aborted = ts.transfers_aborted;
   metrics_.reallocations = ts.reallocations;

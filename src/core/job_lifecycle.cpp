@@ -48,7 +48,6 @@ void JobLifecycle::instantiate_jobs() {
     for (const site::Job& tmpl : workload_.jobs_of(u)) {
       CHICSIM_ASSERT_MSG(tmpl.id >= 1 && tmpl.id <= jobs_.size(),
                          "workload job ids must be dense in [1, total]");
-      CHICSIM_ASSERT_MSG(tmpl.origin_site < sites_.size(), "job origin site out of range");
       jobs_[tmpl.id - 1] = tmpl;
     }
   }

@@ -81,8 +81,10 @@ struct RunMetrics {
   std::uint64_t events_executed = 0;
   std::uint64_t event_pushes = 0;       ///< calendar inserts over the run
   std::uint64_t event_cancels = 0;      ///< calendar cancels over the run
-  std::uint64_t peak_heap_size = 0;     ///< largest physical calendar heap
-  std::uint64_t queue_compactions = 0;  ///< tombstone compactions performed
+  std::uint64_t peak_heap_size = 0;     ///< most events pending at once
+  /// Always 0: the indexed calendar never compacts. Kept because the
+  /// perfbench harness still reads it.
+  std::uint64_t queue_compactions = 0;
   std::uint64_t reallocations = 0;          ///< TransferManager::reallocate calls
   std::uint64_t flows_rescheduled = 0;      ///< completion events cancel+pushed
   std::uint64_t reschedules_skipped = 0;    ///< rate unchanged: event kept

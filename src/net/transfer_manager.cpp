@@ -222,8 +222,7 @@ void TransferManager::reallocate() {
 void TransferManager::update_completion_event(TransferId id, Flow& f, double old_rate,
                                               util::SimTime now) {
   CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
-  if (mode_ != ReallocationMode::RescheduleAll && f.completion_event != sim::kNoEvent &&
-      f.rate == old_rate) {
+  if (f.completion_event != sim::kNoEvent && f.rate == old_rate) {
     // The scheduled finish time was derived from this very rate: keep it.
     ++stats_.reschedules_skipped;
     return;

@@ -51,10 +51,6 @@ enum class SharePolicy : std::uint8_t {
 
 /// How reallocate() turns recomputed rates into calendar updates.
 ///
-/// * RescheduleAll — the historical behaviour: every active flow's
-///   completion event is cancelled and rescheduled on every change, even
-///   when its rate is untouched. O(flows · log events) heap work per
-///   transfer start/finish; kept as the microbenchmark baseline.
 /// * Full — every flow's rate is recomputed, but the completion event is
 ///   only cancelled/rescheduled when the rate actually changed. A flow
 ///   whose rate is unchanged keeps its event: the previously computed
@@ -68,12 +64,8 @@ enum class SharePolicy : std::uint8_t {
 ///   exactly like Full.
 ///
 /// Full and Incremental produce bit-identical schedules (asserted by the
-/// A/B equivalence test over the whole paper matrix). RescheduleAll agrees
-/// with both up to floating-point rounding: re-deriving an unchanged
-/// flow's finish time from the settled residue reorders the arithmetic and
-/// shifts completions by ulps.
+/// A/B equivalence test over the whole paper matrix).
 enum class ReallocationMode : std::uint8_t {
-  RescheduleAll,
   Full,
   Incremental,
 };
@@ -82,8 +74,7 @@ constexpr auto enum_names(SharePolicy) {
   return util::enum_table<SharePolicy>("share policy", "EqualShare", "MaxMin", "NoContention");
 }
 constexpr auto enum_names(ReallocationMode) {
-  return util::enum_table<ReallocationMode>("reallocation mode", "RescheduleAll", "Full",
-                                            "Incremental");
+  return util::enum_table<ReallocationMode>("reallocation mode", "Full", "Incremental");
 }
 
 /// Why a transfer was initiated; used to split accounting between
@@ -206,8 +197,7 @@ class TransferManager {
   void compute_rates_max_min();
 
   /// Cancel + reschedule `f`'s completion event for its (already updated)
-  /// rate — or keep the event when the rate is bit-identical to `old_rate`
-  /// (and the mode allows keeping it).
+  /// rate — or keep the event when the rate is bit-identical to `old_rate`.
   void update_completion_event(TransferId id, Flow& f, double old_rate, util::SimTime now);
 
   /// Mark a link whose flow count or capacity changed since the last

@@ -9,24 +9,17 @@
 namespace chicsim::sim {
 
 EventId Engine::schedule_at(util::SimTime t, EventFn fn) {
-  CHICSIM_ASSERT_MSG(t >= now_, "event scheduled in the past");
-  CHICSIM_ASSERT_MSG(static_cast<bool>(fn), "event with empty callback");
-  EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn)});
-  return id;
+  return schedule_at(t, nullptr, std::move(fn));
 }
 
 EventId Engine::schedule_in(util::SimTime delay, EventFn fn) {
-  CHICSIM_ASSERT_MSG(delay >= 0.0, "negative event delay");
-  return schedule_at(now_ + delay, std::move(fn));
+  return schedule_in(delay, nullptr, std::move(fn));
 }
 
 EventId Engine::schedule_at(util::SimTime t, const char* tag, EventFn fn) {
   CHICSIM_ASSERT_MSG(t >= now_, "event scheduled in the past");
   CHICSIM_ASSERT_MSG(static_cast<bool>(fn), "event with empty callback");
-  EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn), tag});
-  return id;
+  return queue_.push(t, std::move(fn), tag);
 }
 
 EventId Engine::schedule_in(util::SimTime delay, const char* tag, EventFn fn) {

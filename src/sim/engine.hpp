@@ -67,8 +67,8 @@ class Engine {
   /// Number of events currently pending.
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
-  /// The underlying calendar, for its performance counters (peak heap size,
-  /// tombstone count, compactions).
+  /// The underlying calendar, for its performance counters (pushes,
+  /// cancels, peak pending events).
   [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   /// Attach a wall-clock profiler (nullptr detaches). While attached,
@@ -80,7 +80,6 @@ class Engine {
  private:
   EventQueue queue_;
   util::SimTime now_ = 0.0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;
   EngineProfiler* profiler_ = nullptr;

@@ -21,8 +21,9 @@ using EventFn = std::function<void()>;
 /// Internal record of one scheduled event.
 struct Event {
   util::SimTime time = 0.0;
-  /// Monotonic sequence number: events at equal times fire in the order
-  /// they were scheduled, making runs fully deterministic.
+  /// Handle issued by the EventQueue; ids grow with schedule order, so
+  /// events at equal times fire in the order they were scheduled, making
+  /// runs fully deterministic.
   EventId id = kNoEvent;
   EventFn fn;
   /// Static event-type label for the wall-clock profiler (must point at a

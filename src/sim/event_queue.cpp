@@ -6,102 +6,95 @@
 
 namespace chicsim::sim {
 
-bool EventQueue::before(const Event& a, const Event& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.id < b.id;
-}
-
-void EventQueue::push(Event event) {
-  CHICSIM_ASSERT_MSG(event.id != kNoEvent, "event id must be non-zero");
-  CHICSIM_ASSERT_MSG(pending_.find(event.id) == pending_.end() &&
-                         cancelled_.find(event.id) == cancelled_.end(),
-                     "duplicate event id");
-  pending_.insert(event.id);
-  heap_.push_back(std::move(event));
+EventId EventQueue::push(util::SimTime time, EventFn fn, const char* tag) {
+  CHICSIM_ASSERT_MSG(next_seq_ < (EventId{1} << (64 - kSlotBits)),
+                     "event sequence numbers exhausted");
+  if (free_slots_.empty()) {
+    CHICSIM_ASSERT_MSG(slots_.size() <= kSlotMask, "too many pending events");
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  Slot& s = slots_[slot];
+  s.id = id;
+  s.fn = std::move(fn);
+  s.tag = tag;
+  heap_.push_back(Entry{time, id});
   sift_up(heap_.size() - 1);
   ++total_pushes_;
   if (heap_.size() > peak_heap_size_) peak_heap_size_ = heap_.size();
+  return id;
 }
 
 bool EventQueue::cancel(EventId id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return false;
-  pending_.erase(it);
-  cancelled_.insert(id);
+  const EventId slot = id & kSlotMask;
+  if (id == kNoEvent || slot >= slots_.size() || slots_[slot].id != id) return false;
+  remove_at(slots_[slot].pos);
   ++total_cancels_;
-  // Keep the heap O(live events): once the dead weight outnumbers the live
-  // entries, rebuild without it. Each compaction at least halves the heap,
-  // so the O(n) rebuild amortizes to O(1) per cancel.
-  if (cancelled_.size() > pending_.size() && heap_.size() >= kCompactionMinHeap) {
-    compact();
-  }
   return true;
 }
 
-util::SimTime EventQueue::next_time() {
+util::SimTime EventQueue::next_time() const {
   CHICSIM_ASSERT_MSG(!empty(), "next_time on empty queue");
-  drop_cancelled_top();
   return heap_.front().time;
 }
 
 Event EventQueue::pop() {
   CHICSIM_ASSERT_MSG(!empty(), "pop on empty queue");
-  drop_cancelled_top();
-  Event top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  const Entry top = heap_.front();
+  Slot& s = slots_[top.id & kSlotMask];
+  Event event{top.time, top.id, std::move(s.fn), s.tag};
+  remove_at(0);
+  return event;
+}
+
+void EventQueue::remove_at(std::size_t pos) {
+  const auto slot = static_cast<std::uint32_t>(heap_[pos].id & kSlotMask);
+  slots_[slot].id = kNoEvent;
+  slots_[slot].fn = nullptr;
+  free_slots_.push_back(slot);
+
+  const Entry last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  pending_.erase(top.id);
-  return top;
-}
-
-void EventQueue::drop_cancelled_top() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
-  CHICSIM_ASSERT_MSG(false, "drop_cancelled_top exhausted heap while events were pending");
-}
-
-void EventQueue::compact() {
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    if (cancelled_.find(heap_[i].id) != cancelled_.end()) continue;
-    if (live != i) heap_[live] = std::move(heap_[i]);
-    ++live;
-  }
-  heap_.resize(live);
-  cancelled_.clear();
-  // Floyd heapify: restore the heap property bottom-up in O(n).
-  for (std::size_t i = live / 2; i-- > 0;) sift_down(i);
-  ++compactions_;
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+  if (pos == heap_.size()) return;
+  heap_[pos] = last;
+  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
   }
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::place(std::size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  slots_[e.id & kSlotMask].pos = pos;
+}
+
+void EventQueue::sift_up(std::size_t pos) {
+  const Entry e = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(e, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, e);
+}
+
+void EventQueue::sift_down(std::size_t pos) {
+  const Entry e = heap_[pos];
   const std::size_t n = heap_.size();
   while (true) {
-    std::size_t left = 2 * i + 1;
-    std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
+  place(pos, e);
 }
 
 }  // namespace chicsim::sim

@@ -1,24 +1,23 @@
-// Pending-event set: a binary min-heap ordered by (time, id) with lazy
-// cancellation and tombstone compaction.
+// Pending-event set: an indexed binary min-heap ordered by (time, id).
 //
 // Cancellation matters here because the network's fluid flow model
 // reschedules transfer-completion events every time the set of concurrent
-// transfers changes. A pending-id hash set makes cancel O(1); cancelled
-// entries stay in the heap as tombstones and are skipped on pop, keeping
-// pop amortized O(log n).
+// transfers changes, so most scheduled events are cancelled before they
+// fire. Heap entries are small (time, id) pairs; each event's callback and
+// tag live in a slot table recycled through a free list, and every slot
+// records where its entry sits in the heap. cancel() therefore removes the
+// entry in place with one O(log n) sift, and the heap only ever holds
+// pending events.
 //
-// Under transfer churn the tombstones can outnumber the live events by a
-// large factor, so whenever they do, the heap is compacted: cancelled
-// entries are filtered out and the heap is rebuilt in place (Floyd's
-// heapify, O(n)). Compaction never changes the pop order — the (time, id)
-// order is total, so delivery is independent of the heap's internal layout.
-// The amortized cost is O(1) per cancel: each compaction removes at least
-// half of the heap, paid for by the cancels that created the tombstones.
+// The queue issues the ids: the schedule sequence number in the high bits,
+// the slot index in the low bits. Ordering by id is thus ordering by
+// schedule order, so equal-time events fire first-scheduled-first. A stale
+// handle whose slot has been reused carries an older sequence number and
+// fails the id compare, so it can never cancel the slot's new event.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -27,39 +26,30 @@ namespace chicsim::sim {
 
 class EventQueue {
  public:
-  /// Insert an event; `id` must be unique and non-zero.
-  void push(Event event);
+  /// Schedule `fn` at `time`; `tag` labels it for the profiler. Returns the
+  /// handle cancel() takes. O(log n).
+  EventId push(util::SimTime time, EventFn fn, const char* tag = nullptr);
 
-  /// Mark an event cancelled; returns false when the id is not pending
-  /// (already fired, already cancelled, or never scheduled). Amortized O(1).
+  /// Remove a pending event; returns false when `id` is not pending
+  /// (already fired, already cancelled, or never issued). O(log n).
   bool cancel(EventId id);
 
-  /// True when no live (non-cancelled) events remain.
-  [[nodiscard]] bool empty() const { return pending_.empty(); }
+  /// True when no events are pending.
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
-  /// Number of live events.
-  [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest live event; must not be called when empty.
-  [[nodiscard]] util::SimTime next_time();
+  /// Time of the earliest pending event; must not be called when empty.
+  [[nodiscard]] util::SimTime next_time() const;
 
-  /// Remove and return the earliest live event; must not be called on empty.
+  /// Remove and return the earliest pending event; must not be called on empty.
   [[nodiscard]] Event pop();
 
   // --- performance counters (microbenchmarks, RunMetrics) ---
 
-  /// Cancelled entries still physically present in the heap.
-  [[nodiscard]] std::size_t tombstone_count() const { return cancelled_.size(); }
-
-  /// Physical heap entries right now (live + tombstones).
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
-
-  /// Largest physical heap size ever reached. Bounded by
-  /// O(max live events) thanks to compaction, instead of O(total cancels).
+  /// Largest number of simultaneously pending events.
   [[nodiscard]] std::size_t peak_heap_size() const { return peak_heap_size_; }
-
-  /// Number of tombstone compactions performed.
-  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
   /// Total push() calls over the queue's lifetime.
   [[nodiscard]] std::uint64_t total_pushes() const { return total_pushes_; }
@@ -68,24 +58,35 @@ class EventQueue {
   [[nodiscard]] std::uint64_t total_cancels() const { return total_cancels_; }
 
  private:
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  /// Pop heap entries whose ids were cancelled until a live one is on top.
-  void drop_cancelled_top();
-  /// Physically remove every tombstone and re-heapify in place.
-  void compact();
-  [[nodiscard]] static bool before(const Event& a, const Event& b);
+  struct Entry {
+    util::SimTime time = 0.0;
+    EventId id = kNoEvent;
+  };
+  struct Slot {
+    EventId id = kNoEvent;  ///< kNoEvent while the slot is free
+    std::size_t pos = 0;    ///< index of this event's entry in heap_
+    EventFn fn;
+    const char* tag = nullptr;
+  };
 
-  /// Below this heap size lazy deletion is cheap enough that compaction
-  /// bookkeeping would cost more than it saves.
-  static constexpr std::size_t kCompactionMinHeap = 64;
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
 
-  std::vector<Event> heap_;
-  // detlint: order-insensitive: membership-only sets; delivery order is the (time, id) heap order
-  std::unordered_set<EventId> pending_;    ///< live, cancellable ids
-  std::unordered_set<EventId> cancelled_;  ///< tombstones still in the heap
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time < b.time : a.id < b.id;
+  }
+  /// Store `e` at heap index `pos` and record that index in its slot.
+  void place(std::size_t pos, const Entry& e);
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Take heap_[pos] out of the heap and free its slot.
+  void remove_at(std::size_t pos);
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  EventId next_seq_ = 1;
   std::size_t peak_heap_size_ = 0;
-  std::uint64_t compactions_ = 0;
   std::uint64_t total_pushes_ = 0;
   std::uint64_t total_cancels_ = 0;
 };

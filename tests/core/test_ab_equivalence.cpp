@@ -1,5 +1,4 @@
-// A/B equivalence of the TransferManager reallocation modes (and of the
-// serial vs parallel experiment harness).
+// A/B equivalence of the TransferManager reallocation modes.
 //
 // Full recomputes every flow's rate and only reschedules flows whose rate
 // changed; Incremental additionally skips the rate recomputation for flows
@@ -7,9 +6,6 @@
 // pure function of the capacities and flow counts on its own path, so the
 // two modes must agree bit-for-bit — asserted here over the paper's full
 // 4x3 algorithm matrix, per seed, with exact (==) double comparisons.
-// RescheduleAll (the historical behaviour) re-derives unchanged finish
-// times from settled residues, which reorders floating-point arithmetic,
-// so it only agrees statistically.
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -123,48 +119,6 @@ TEST(AbEquivalence, FullAndIncrementalBitIdenticalUnderMaxMin) {
   ASSERT_EQ(a.per_seed.size(), 1u);
   ASSERT_EQ(b.per_seed.size(), 1u);
   expect_bit_identical(a.per_seed[0], b.per_seed[0]);
-}
-
-TEST(AbEquivalence, RescheduleAllAgreesStatistically) {
-  // The historical mode shifts completions by ulps (re-derived finish
-  // times), which can butterfly into different discrete decisions — so
-  // only statistical agreement is required of it.
-  SimulationConfig legacy_cfg = tiny_config();
-  legacy_cfg.realloc_mode = net::ReallocationMode::RescheduleAll;
-  SimulationConfig opt_cfg = tiny_config();
-
-  ExperimentRunner legacy(legacy_cfg, {1, 2, 3});
-  ExperimentRunner opt(opt_cfg, {1, 2, 3});
-  CellResult a = legacy.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataRandom);
-  CellResult b = opt.run_cell(EsAlgorithm::JobLeastLoaded, DsAlgorithm::DataRandom);
-  EXPECT_EQ(a.per_seed[0].jobs_completed, b.per_seed[0].jobs_completed);
-  EXPECT_NEAR(a.avg_response_time_s, b.avg_response_time_s,
-              0.1 * a.avg_response_time_s);
-  EXPECT_NEAR(a.avg_data_per_job_mb, b.avg_data_per_job_mb,
-              0.1 * a.avg_data_per_job_mb + 1.0);
-}
-
-TEST(AbEquivalence, ParallelRunCellBitIdenticalToSerial) {
-  ExperimentRunner serial(tiny_config(), {11, 12, 13, 14});
-  CellResult reference = serial.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
-
-  for (unsigned threads : {2u, 3u, 8u, 0u}) {
-    ExperimentRunner parallel(tiny_config(), {11, 12, 13, 14});
-    parallel.set_cell_threads(threads);
-    CellResult cell = parallel.run_cell(EsAlgorithm::JobDataPresent, DsAlgorithm::DataRandom);
-    EXPECT_EQ(cell.seeds_run, reference.seeds_run);
-    EXPECT_EQ(cell.avg_response_time_s, reference.avg_response_time_s);
-    EXPECT_EQ(cell.avg_data_per_job_mb, reference.avg_data_per_job_mb);
-    EXPECT_EQ(cell.idle_fraction, reference.idle_fraction);
-    EXPECT_EQ(cell.makespan_s, reference.makespan_s);
-    EXPECT_EQ(cell.response_cv, reference.response_cv);
-    ASSERT_EQ(cell.per_seed.size(), reference.per_seed.size());
-    for (std::size_t s = 0; s < cell.per_seed.size(); ++s) {
-      expect_bit_identical(cell.per_seed[s], reference.per_seed[s]);
-      EXPECT_EQ(cell.per_seed[s].rate_recomputes_skipped,
-                reference.per_seed[s].rate_recomputes_skipped);
-    }
-  }
 }
 
 }  // namespace

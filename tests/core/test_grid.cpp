@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "util/error.hpp"
 #include "workload/trace.hpp"
 
@@ -229,6 +232,33 @@ TEST(Grid, TraceReplayMatchesGeneratedRun) {
   replayed.run();
   EXPECT_DOUBLE_EQ(original.metrics().avg_response_time_s,
                    replayed.metrics().avg_response_time_s);
+}
+
+/// Replay a one-user trace against small_config()'s world (6 sites, 40
+/// datasets) and return the SimError text, or "" when construction works.
+std::string trace_replay_error(const std::string& rows) {
+  SimulationConfig cfg = small_config();
+  cfg.num_users = 1;
+  cfg.total_jobs = 2;
+  std::istringstream in("job_id,user,origin_site,runtime_s,inputs\n" + rows);
+  try {
+    Grid grid(cfg, workload::load_trace(in));
+  } catch (const util::SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Grid, TraceReplayRejectsOutOfRangeOriginSite) {
+  EXPECT_EQ(trace_replay_error("1,0,0,10,1\n2,0,5,10,1\n"), "");
+  std::string err = trace_replay_error("1,0,0,10,1\n2,0,6,10,1\n");
+  EXPECT_NE(err.find("job 2: origin site 6 out of range"), std::string::npos) << err;
+}
+
+TEST(Grid, TraceReplayRejectsOutOfRangeDataset) {
+  EXPECT_EQ(trace_replay_error("1,0,0,10,39\n2,0,1,10,1\n"), "");
+  std::string err = trace_replay_error("1,0,0,10,3;40\n2,0,1,10,1\n");
+  EXPECT_NE(err.find("job 1: dataset 40 out of range"), std::string::npos) << err;
 }
 
 TEST(Grid, StalenessZeroStillCompletes) {

@@ -3,9 +3,8 @@
 // These tests are the `tsan` ctest label: a thread-sanitized build
 // (-DCHICSIM_SANITIZE=thread) runs exactly this binary plus the
 // fault-injection suite, so every assertion here doubles as a race
-// detector drive of the work-stealing paths (run_matrix_parallel's shared
-// cell index, run_cell's per-seed worker pool, the mutex-serialised
-// progress callback).
+// detector drive of the work-stealing path (run_matrix's shared cell
+// index and the mutex-serialised progress callback).
 //
 // They are also the regression tests for the determinism fix that ordered
 // TransferManager::flows_ by TransferId: before that fix the trajectory
@@ -98,33 +97,15 @@ void expect_cells_bit_identical(const std::vector<CellResult>& serial,
 TEST(ParallelDeterminism, MatrixParallelIsBitIdenticalToSerial) {
   ExperimentRunner runner(smoke_config(), {101, 202});
   auto serial = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms());
-  auto parallel =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto parallel = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   expect_cells_bit_identical(serial, parallel);
 }
 
 TEST(ParallelDeterminism, MatrixParallelUnderFaultsIsBitIdenticalToSerial) {
   ExperimentRunner runner(faulty_config(), {101, 202});
   auto serial = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms());
-  auto parallel =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto parallel = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   expect_cells_bit_identical(serial, parallel);
-}
-
-TEST(ParallelDeterminism, PerSeedWorkStealingFoldIsBitIdentical) {
-  ExperimentRunner serial(smoke_config(), {101, 202, 303, 404});
-  ExperimentRunner threaded(smoke_config(), {101, 202, 303, 404});
-  threaded.set_cell_threads(4);
-  for (EsAlgorithm es : {EsAlgorithm::JobDataPresent, EsAlgorithm::JobLocal}) {
-    auto a = serial.run_cell(es, DsAlgorithm::DataRandom);
-    auto b = threaded.run_cell(es, DsAlgorithm::DataRandom);
-    EXPECT_EQ(a.avg_response_time_s, b.avg_response_time_s);
-    EXPECT_EQ(a.response_cv, b.response_cv);
-    ASSERT_EQ(a.per_seed.size(), b.per_seed.size());
-    for (std::size_t s = 0; s < a.per_seed.size(); ++s) {
-      expect_bit_identical(a.per_seed[s], b.per_seed[s]);
-    }
-  }
 }
 
 TEST(ParallelDeterminism, ConcurrentProgressReportsEveryRunExactlyOnce) {
@@ -135,8 +116,7 @@ TEST(ParallelDeterminism, ConcurrentProgressReportsEveryRunExactlyOnce) {
     std::lock_guard<std::mutex> lock(mu);
     lines.push_back(line);
   });
-  auto cells =
-      runner.run_matrix_parallel(paper_es_algorithms(), paper_ds_algorithms(), 4);
+  auto cells = runner.run_matrix(paper_es_algorithms(), paper_ds_algorithms(), 4);
   ASSERT_EQ(cells.size(), 12u);
   // One progress line per (cell, seed) — none lost, none duplicated.
   EXPECT_EQ(lines.size(), 24u);

@@ -388,30 +388,11 @@ TEST(TransferManager, FullModeKeepsEventWhenRateIsUnchanged) {
   EXPECT_EQ(s.rate_recomputes_skipped, 0u);  // Full never skips the recompute
 }
 
-TEST(TransferManager, RescheduleAllModeReschedulesEveryFlowEveryTime) {
-  World w(build_star(3, 10.0), SharePolicy::EqualShare, ReallocationMode::RescheduleAll);
-  double d1 = -1.0;
-  w.tm.start(0, 1, 1000.0, TransferPurpose::JobFetch,
-             [&](TransferId) { d1 = w.engine.now(); });
-  w.engine.schedule_at(50.0, [&] {
-    w.tm.start(0, 2, 250.0, TransferPurpose::JobFetch, [](TransferId) {});
-  });
-  w.engine.run();
-  // 50 s alone (500 MB), shared 50 s at 5 MB/s (250 MB), then 250 MB alone.
-  EXPECT_NEAR(d1, 125.0, 1e-6);
-  const auto& s = w.tm.stats();
-  EXPECT_EQ(s.reschedules_skipped, 0u);
-  EXPECT_EQ(s.rate_recomputes_skipped, 0u);
-  // start A (A), start B (A+B), finish B (A) = 4 reschedules.
-  EXPECT_EQ(s.flows_rescheduled, 4u);
-}
-
 TEST(TransferManager, ModesAgreeOnCompletionTimes) {
   for (SharePolicy policy :
        {SharePolicy::EqualShare, SharePolicy::MaxMin, SharePolicy::NoContention}) {
     std::vector<std::vector<double>> completions;
-    for (ReallocationMode mode : {ReallocationMode::RescheduleAll, ReallocationMode::Full,
-                                  ReallocationMode::Incremental}) {
+    for (ReallocationMode mode : {ReallocationMode::Full, ReallocationMode::Incremental}) {
       World w(build_hierarchy({10, 3, 10.0}), policy, mode);
       util::Rng rng(21);
       auto done = std::make_shared<std::vector<double>>();
@@ -430,12 +411,10 @@ TEST(TransferManager, ModesAgreeOnCompletionTimes) {
       EXPECT_EQ(done->size(), 40u);
       completions.push_back(*done);
     }
-    // Full and Incremental are bit-identical; RescheduleAll only up to the
-    // floating-point reordering of re-derived finish times.
-    ASSERT_EQ(completions[1].size(), completions[2].size());
-    for (std::size_t i = 0; i < completions[1].size(); ++i) {
-      EXPECT_DOUBLE_EQ(completions[1][i], completions[2][i]);
-      EXPECT_NEAR(completions[0][i], completions[1][i], 1e-6);
+    // Full and Incremental are bit-identical.
+    ASSERT_EQ(completions[0].size(), completions[1].size());
+    for (std::size_t i = 0; i < completions[0].size(); ++i) {
+      EXPECT_DOUBLE_EQ(completions[0][i], completions[1][i]);
     }
   }
 }
