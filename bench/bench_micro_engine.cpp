@@ -10,18 +10,24 @@
 // peak pending events). Its gate is exact, not timed: calendar_work_ratio
 // is the number of flows Incremental walked divided by the calendar pushes
 // it made, i.e. how much calendar work skipping unchanged flows saves over
-// rescheduling every walked flow. scripts/bench_report.sh uses this to
+// rescheduling every walked flow. It also runs one short JobDataPresent
+// simulation at 30 sites and one at 1000 and records the GridView queries
+// per ES decision ("es_scan"): a placement that scores only replica holders
+// costs the same at both sizes. scripts/bench_report.sh uses this to
 // produce BENCH_engine.json; the process exits non-zero if the ratio falls
-// below 2.
+// below 2 or the 1000-site queries per decision exceed twice the 30-site
+// value. Both gates are counts, so they do not depend on the machine.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/factory.hpp"
 #include "core/grid.hpp"
 #include "data/storage.hpp"
 #include "net/transfer_manager.hpp"
@@ -260,6 +266,51 @@ std::string run_profiled_simulation() {
   return json;
 }
 
+/// Wraps an ES and tallies the InfoService queries its decisions make.
+class QueryCountingEs final : public core::ExternalScheduler {
+ public:
+  QueryCountingEs(std::unique_ptr<core::ExternalScheduler> inner, const core::InfoService& info)
+      : inner_(std::move(inner)), info_(info) {}
+  [[nodiscard]] const char* name() const override { return inner_->name(); }
+  [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const core::GridView& view,
+                                            util::Rng& rng) override {
+    std::uint64_t before = info_.view_queries();
+    data::SiteIndex site = inner_->select_site(job, view, rng);
+    queries_ += info_.view_queries() - before;
+    ++decisions_;
+    return site;
+  }
+  [[nodiscard]] double queries_per_decision() const {
+    return static_cast<double>(queries_) / static_cast<double>(decisions_);
+  }
+
+ private:
+  std::unique_ptr<core::ExternalScheduler> inner_;
+  const core::InfoService& info_;
+  std::uint64_t decisions_ = 0;
+  std::uint64_t queries_ = 0;
+};
+
+/// GridView queries per ES decision of one short JobDataPresent +
+/// DataLeastLoaded run on a hierarchy of `sites` sites (about seven
+/// datasets and one user per site, two jobs per user).
+double es_queries_per_decision(std::size_t sites, std::size_t regions) {
+  core::SimulationConfig cfg;
+  cfg.num_sites = sites;
+  cfg.num_regions = regions;
+  cfg.num_users = sites;
+  cfg.num_datasets = sites * 200 / 30;
+  cfg.total_jobs = 2 * sites;
+  cfg.es = core::EsAlgorithm::JobDataPresent;
+  cfg.ds = core::DsAlgorithm::DataLeastLoaded;
+  core::Grid grid(cfg);
+  auto es = std::make_unique<QueryCountingEs>(core::make_external_scheduler(cfg.es), grid.info());
+  const QueryCountingEs& counted = *es;
+  grid.set_external_scheduler(std::move(es));
+  grid.run();
+  return counted.queries_per_decision();
+}
+
 int run_engine_json(const std::string& path) {
   constexpr std::size_t kFlows = 2048;
   constexpr int kRepeats = 3;
@@ -285,6 +336,14 @@ int run_engine_json(const std::string& path) {
   std::printf("calendar work ratio (flows walked / pushes): %.2f  [%s] (target: >= 2)\n",
               work_ratio, pass ? "PASS" : "FAIL");
 
+  const double scan_small = es_queries_per_decision(30, 6);
+  const double scan_large = es_queries_per_decision(1000, 40);
+  const bool scan_pass = scan_large <= 2.0 * scan_small;
+  std::printf(
+      "JobDataPresent view queries per decision: %.2f at 30 sites, %.2f at 1000  [%s] "
+      "(target: 1000-site <= 2x 30-site)\n",
+      scan_small, scan_large, scan_pass ? "PASS" : "FAIL");
+
   std::string profile_json = run_profiled_simulation();
 
   std::ofstream out(path);
@@ -303,12 +362,16 @@ int run_engine_json(const std::string& path) {
   write_mode_json(out, "incremental", incr, "");
   out << "  },\n"
       << "  \"profile\": " << profile_json << ",\n"
+      << "  \"es_scan\": {\"policy\": \"JobDataPresent+DataLeastLoaded\", "
+         "\"view_queries_per_decision\": {\"sites_30\": "
+      << scan_small << ", \"sites_1000\": " << scan_large
+      << "}, \"pass_2x\": " << (scan_pass ? "true" : "false") << "},\n"
       << "  \"flows_walked\": " << incr.flows_walked() << ",\n"
       << "  \"calendar_work_ratio\": " << work_ratio << ",\n"
       << "  \"pass_2x\": " << (pass ? "true" : "false") << "\n"
       << "}\n";
   std::printf("engine report written to %s\n", path.c_str());
-  return pass ? 0 : 1;
+  return pass && scan_pass ? 0 : 1;
 }
 
 }  // namespace

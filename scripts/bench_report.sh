@@ -10,9 +10,11 @@
 # counts and peak pending events — plus calendar_work_ratio (flows walked by
 # Incremental / calendar pushes it made) and a "profile" section with the
 # per-event-type wall-clock handler-time breakdown of one profiled full
-# Table-1 simulation (see docs/observability.md). Exits non-zero if the
-# work ratio falls below 2; the ratio is a count, so the exit status is
-# deterministic.
+# Table-1 simulation (see docs/observability.md) and an "es_scan" section
+# with the GridView queries per JobDataPresent decision at 30 and at 1000
+# sites. Exits non-zero if the work ratio falls below 2 or the 1000-site
+# queries per decision exceed twice the 30-site value; both are counts, so
+# the exit status is deterministic.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

@@ -42,6 +42,46 @@ data::SiteIndex least_loaded_of(const std::vector<data::SiteIndex>& candidates,
   return ties[rng.index(ties.size())];
 }
 
+/// The sites JobDataPresent must score: the placeable replica holders of
+/// the job's inputs, ascending and de-duplicated — or every placeable site
+/// when scanning only holders could change the answer.
+///
+/// A site holding none of the inputs scores 0. Once the running best
+/// exceeds kEpsilon, a zero-score site can neither reset the best nor tie
+/// with it, and the zero-score sites scanned before the first holder are
+/// dropped by that holder's reset. So scoring only holders, in the same
+/// ascending order, yields the same qualifying list — hence the same site
+/// and the same rng draws — whenever (a) every input is larger than
+/// kEpsilon, so every holder scores above it, and (b) at least one holder
+/// is placeable. Placeable is alive in the view, or any site when the view
+/// believes no site is alive; whether any site is alive is only asked when
+/// every holder looks dead. Otherwise the full placeable list is scored.
+std::vector<data::SiteIndex> data_present_candidates(const site::Job& job,
+                                                     const GridView& view) {
+  std::vector<data::SiteIndex> holders;
+  for (auto input : job.inputs) {
+    if (!(view.dataset_size_mb(input) > util::kEpsilon)) return placeable_sites(view);
+    const auto& sites = view.replica_sites(input);
+    holders.insert(holders.end(), sites.begin(), sites.end());
+  }
+  if (holders.empty()) return placeable_sites(view);
+  std::sort(holders.begin(), holders.end());
+  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+  std::size_t alive = 0;
+  for (data::SiteIndex s : holders) {
+    if (view.site_alive(s)) holders[alive++] = s;
+  }
+  if (alive > 0) {
+    holders.resize(alive);
+    return holders;
+  }
+  // Every holder looks dead: they are placeable only if every site is.
+  for (std::size_t s = 0; s < view.num_sites(); ++s) {
+    if (view.site_alive(static_cast<data::SiteIndex>(s))) return placeable_sites(view);
+  }
+  return holders;
+}
+
 }  // namespace
 
 data::SiteIndex JobRandomEs::select_site(const site::Job& job, const GridView& view,
@@ -64,11 +104,11 @@ data::SiteIndex JobLeastLoadedEs::select_site(const site::Job& job, const GridVi
 data::SiteIndex JobDataPresentEs::select_site(const site::Job& job, const GridView& view,
                                               util::Rng& rng) {
   CHICSIM_ASSERT_MSG(!job.inputs.empty(), "job without inputs");
-  // Score each site by locally present input megabytes; the best scorers
-  // qualify, the least loaded of them wins.
+  // Score each candidate by locally present input megabytes; the best
+  // scorers qualify, the least loaded of them wins.
   std::vector<data::SiteIndex> qualifying;
   double best_mb = -1.0;
-  for (data::SiteIndex site : placeable_sites(view)) {
+  for (data::SiteIndex site : data_present_candidates(job, view)) {
     double mb = 0.0;
     for (auto input : job.inputs) {
       if (view.site_has_dataset(site, input)) mb += view.dataset_size_mb(input);

@@ -1,6 +1,7 @@
 #include "core/fetch_planner.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "core/replication_driver.hpp"
 #include "util/error.hpp"
@@ -275,27 +276,24 @@ data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteI
     case ReplicaSelection::Random: {
       return live[rng_fetch_.index(live.size())];
     }
-    case ReplicaSelection::Closest: {
-      data::SiteIndex best = live.front();
-      for (data::SiteIndex h : live) {
-        std::size_t dh = routing_.hops(h, dest);
-        std::size_t db = routing_.hops(best, dest);
-        if (dh < db || (dh == db && (sites_[h].load() < sites_[best].load() ||
-                                     (sites_[h].load() == sites_[best].load() && h < best)))) {
-          best = h;
-        }
-      }
-      return best;
-    }
+    case ReplicaSelection::Closest:
     case ReplicaSelection::LeastLoadedSource: {
+      // Lexicographic minimum of (hops, load, index) — or (load, hops,
+      // index) for LeastLoadedSource. The best holder's key is computed
+      // once per change of `best`, not once per comparison.
+      const bool closest = config_.replica_selection == ReplicaSelection::Closest;
+      auto key = [&](data::SiteIndex h) {
+        std::size_t hops = routing_.hops(h, dest);
+        std::size_t load = sites_[h].load();
+        return closest ? std::make_tuple(hops, load, h) : std::make_tuple(load, hops, h);
+      };
       data::SiteIndex best = live.front();
+      auto best_key = key(best);
       for (data::SiteIndex h : live) {
-        std::size_t lh = sites_[h].load();
-        std::size_t lb = sites_[best].load();
-        if (lh < lb || (lh == lb && (routing_.hops(h, dest) < routing_.hops(best, dest) ||
-                                     (routing_.hops(h, dest) == routing_.hops(best, dest) &&
-                                      h < best)))) {
+        auto k = key(h);
+        if (k < best_key) {
           best = h;
+          best_key = k;
         }
       }
       return best;

@@ -205,6 +205,7 @@ void Grid::finish_run() {
   metrics_.flows_rescheduled = ts.flows_rescheduled;
   metrics_.reschedules_skipped = ts.reschedules_skipped;
   metrics_.rate_recomputes_skipped = ts.rate_recomputes_skipped;
+  metrics_.view_queries = info_->view_queries();
   engine_.stop();
 }
 

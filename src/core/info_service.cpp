@@ -25,8 +25,9 @@ InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engi
       neighbors_(neighbors) {}
 
 util::SimTime InfoService::current_epoch() const {
-  if (config_.info_staleness_s <= 0.0) return now();
-  return std::floor(now() / config_.info_staleness_s) * config_.info_staleness_s;
+  util::SimTime now = engine_.now();
+  if (config_.info_staleness_s <= 0.0) return now;
+  return std::floor(now / config_.info_staleness_s) * config_.info_staleness_s;
 }
 
 void InfoService::refresh_loads() const {
@@ -61,6 +62,7 @@ void InfoService::refresh_alive() const {
 }
 
 bool InfoService::site_alive(data::SiteIndex s) const {
+  ++view_queries_;
   CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
   if (config_.info_staleness_s <= 0.0) return sites_[s].alive();
   refresh_alive();
@@ -68,6 +70,7 @@ bool InfoService::site_alive(data::SiteIndex s) const {
 }
 
 std::size_t InfoService::site_load(data::SiteIndex s) const {
+  ++view_queries_;
   CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
   if (config_.info_staleness_s <= 0.0) return sites_[s].load();
   refresh_loads();
@@ -75,16 +78,18 @@ std::size_t InfoService::site_load(data::SiteIndex s) const {
 }
 
 std::size_t InfoService::site_compute_elements(data::SiteIndex s) const {
+  ++view_queries_;
   CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
   return sites_[s].compute().size();
 }
 
 double InfoService::site_speed_factor(data::SiteIndex s) const {
+  ++view_queries_;
   CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
   return sites_[s].speed_factor();
 }
 
-const std::vector<data::SiteIndex>& InfoService::replica_sites(
+const std::vector<data::SiteIndex>& InfoService::published_replicas(
     data::DatasetId dataset) const {
   if (config_.info_staleness_s <= 0.0) return replicas_.locations(dataset);
   refresh_replicas();
@@ -92,26 +97,37 @@ const std::vector<data::SiteIndex>& InfoService::replica_sites(
   return replica_snapshot_[dataset];
 }
 
+const std::vector<data::SiteIndex>& InfoService::replica_sites(
+    data::DatasetId dataset) const {
+  ++view_queries_;
+  return published_replicas(dataset);
+}
+
 bool InfoService::site_has_dataset(data::SiteIndex s, data::DatasetId dataset) const {
+  ++view_queries_;
   if (config_.info_staleness_s <= 0.0) return replicas_.has(dataset, s);
-  const auto& holders = replica_sites(dataset);
+  const auto& holders = published_replicas(dataset);
   return std::find(holders.begin(), holders.end(), s) != holders.end();
 }
 
 util::Megabytes InfoService::dataset_size_mb(data::DatasetId dataset) const {
+  ++view_queries_;
   return catalog_.size_mb(dataset);
 }
 
 std::size_t InfoService::hops(data::SiteIndex a, data::SiteIndex b) const {
+  ++view_queries_;
   return routing_.hops(a, b);
 }
 
 const std::vector<data::SiteIndex>& InfoService::neighbors(data::SiteIndex s) const {
+  ++view_queries_;
   CHICSIM_ASSERT_MSG(s < neighbors_.size(), "site index out of range");
   return neighbors_[s];
 }
 
 std::size_t InfoService::path_congestion(data::SiteIndex a, data::SiteIndex b) const {
+  ++view_queries_;
   if (a == b) return 0;
   std::size_t worst = 0;
   for (net::LinkId l : routing_.path(a, b)) {
@@ -121,6 +137,7 @@ std::size_t InfoService::path_congestion(data::SiteIndex a, data::SiteIndex b) c
 }
 
 util::MbPerSec InfoService::path_bandwidth_mbps(data::SiteIndex a, data::SiteIndex b) const {
+  ++view_queries_;
   if (a == b) return util::kTimeInfinity;
   util::MbPerSec bw = util::kTimeInfinity;
   for (net::LinkId l : routing_.path(a, b)) {

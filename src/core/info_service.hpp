@@ -18,6 +18,7 @@
 // lists) and the NWS-style congestion probes stay live.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/config.hpp"
@@ -42,7 +43,10 @@ class InfoService final : public GridView {
               const std::vector<std::vector<data::SiteIndex>>& neighbors);
 
   // --- GridView ---
-  [[nodiscard]] std::size_t num_sites() const override { return sites_.size(); }
+  [[nodiscard]] std::size_t num_sites() const override {
+    ++view_queries_;
+    return sites_.size();
+  }
   [[nodiscard]] std::size_t site_load(data::SiteIndex s) const override;
   [[nodiscard]] bool site_alive(data::SiteIndex s) const override;
   [[nodiscard]] std::size_t site_compute_elements(data::SiteIndex s) const override;
@@ -59,10 +63,17 @@ class InfoService final : public GridView {
                                             data::SiteIndex b) const override;
   [[nodiscard]] util::MbPerSec path_bandwidth_mbps(data::SiteIndex a,
                                                    data::SiteIndex b) const override;
-  [[nodiscard]] util::SimTime now() const override { return engine_.now(); }
+  [[nodiscard]] util::SimTime now() const override {
+    ++view_queries_;
+    return engine_.now();
+  }
 
   /// The publication epoch the current time falls in (diagnostics/tests).
   [[nodiscard]] util::SimTime current_epoch() const;
+
+  /// GridView queries answered so far: the "sites scanned" work counter
+  /// (RunMetrics::view_queries). Internal lookups are not counted.
+  [[nodiscard]] std::uint64_t view_queries() const { return view_queries_; }
 
  private:
   /// Re-publish the given snapshot family if a new epoch began. Families
@@ -70,6 +81,10 @@ class InfoService final : public GridView {
   void refresh_loads() const;
   void refresh_replicas() const;
   void refresh_alive() const;
+
+  /// Replica holders as currently published (live or snapshot), uncounted.
+  [[nodiscard]] const std::vector<data::SiteIndex>& published_replicas(
+      data::DatasetId dataset) const;
 
   const SimulationConfig& config_;
   const sim::Engine& engine_;
@@ -87,6 +102,7 @@ class InfoService final : public GridView {
   mutable util::SimTime replica_epoch_ = -1.0;
   mutable std::vector<std::uint8_t> alive_snapshot_;
   mutable util::SimTime alive_epoch_ = -1.0;
+  mutable std::uint64_t view_queries_ = 0;
 };
 
 }  // namespace chicsim::core

@@ -89,6 +89,8 @@ struct RunMetrics {
   std::uint64_t flows_rescheduled = 0;      ///< completion events cancel+pushed
   std::uint64_t reschedules_skipped = 0;    ///< rate unchanged: event kept
   std::uint64_t rate_recomputes_skipped = 0;  ///< flow crossed no dirty link
+  /// GridView queries the InfoService answered (policy "sites scanned").
+  std::uint64_t view_queries = 0;
 };
 
 class MetricsCollector {

@@ -23,6 +23,7 @@ TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
       policy_(policy),
       link_flow_count_(topo.link_count(), 0),
       link_busy_time_(topo.link_count(), 0.0),
+      busy_pos_(topo.link_count(), 0),
       link_scale_(topo.link_count(), 1.0),
       link_dirty_(topo.link_count(), 0),
       last_settle_(engine.now()),
@@ -32,6 +33,26 @@ void TransferManager::mark_link_dirty(LinkId link) {
   if (link_dirty_[link]) return;
   link_dirty_[link] = 1;
   dirty_links_.push_back(link);
+}
+
+void TransferManager::add_flow_to_link(LinkId link) {
+  if (link_flow_count_[link]++ == 0) {
+    busy_pos_[link] = busy_links_.size();
+    busy_links_.push_back(link);
+  }
+  mark_link_dirty(link);
+}
+
+void TransferManager::remove_flow_from_link(LinkId link) {
+  CHICSIM_ASSERT(link_flow_count_[link] > 0);
+  if (--link_flow_count_[link] == 0) {
+    std::size_t pos = busy_pos_[link];
+    LinkId moved = busy_links_.back();
+    busy_links_[pos] = moved;
+    busy_pos_[moved] = pos;
+    busy_links_.pop_back();
+  }
+  mark_link_dirty(link);
 }
 
 bool TransferManager::crosses_dirty_link(const Flow& f) const {
@@ -96,10 +117,7 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
   flow.on_complete = std::move(on_complete);
   flow.path = &routing_.path(src, dst);
   CHICSIM_ASSERT_MSG(!flow.path->empty(), "remote transfer with empty path");
-  for (LinkId l : *flow.path) {
-    ++link_flow_count_[l];
-    mark_link_dirty(l);
-  }
+  for (LinkId l : *flow.path) add_flow_to_link(l);
   CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the vector sorted
   flows_.emplace_back(id, std::move(flow));
   reallocate();
@@ -129,11 +147,7 @@ void TransferManager::abort(TransferId id) {
   flows_.erase(it);
   if (flow.completion_event != sim::kNoEvent) (void)engine_.cancel(flow.completion_event);
   if (flow.path != nullptr) {
-    for (LinkId l : *flow.path) {
-      CHICSIM_ASSERT(link_flow_count_[l] > 0);
-      --link_flow_count_[l];
-      mark_link_dirty(l);
-    }
+    for (LinkId l : *flow.path) remove_flow_from_link(l);
     reallocate();
   }
   ++stats_.transfers_aborted;
@@ -174,9 +188,7 @@ void TransferManager::settle() {
       f.remaining_mb -= delta;
       stats_.delivered_mb_hops += delta * static_cast<double>(f.path->size());
     }
-    for (LinkId l = 0; l < link_flow_count_.size(); ++l) {
-      if (link_flow_count_[l] > 0) link_busy_time_[l] += dt;
-    }
+    for (LinkId l : busy_links_) link_busy_time_[l] += dt;
   }
   last_settle_ = now;
 }
@@ -316,11 +328,7 @@ void TransferManager::finish(TransferId id) {
   Flow flow = std::move(it->second);
   flows_.erase(it);
   if (flow.path != nullptr) {
-    for (LinkId l : *flow.path) {
-      CHICSIM_ASSERT(link_flow_count_[l] > 0);
-      --link_flow_count_[l];
-      mark_link_dirty(l);
-    }
+    for (LinkId l : *flow.path) remove_flow_from_link(l);
     stats_.delivered_mb[static_cast<std::size_t>(flow.purpose)] += flow.size_mb;
     reallocate();
   }

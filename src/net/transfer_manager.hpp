@@ -188,6 +188,11 @@ class TransferManager {
   /// rates and accumulate link-busy statistics.
   void settle();
 
+  /// Count one flow onto / off `link`, keeping busy_links_ in step with
+  /// the 0 <-> 1 transitions, and mark the link dirty.
+  void add_flow_to_link(LinkId link);
+  void remove_flow_from_link(LinkId link);
+
   /// Recompute flow rates under the active policy and bring the completion
   /// events up to date, per the active ReallocationMode.
   void reallocate();
@@ -234,6 +239,12 @@ class TransferManager {
   std::vector<std::pair<TransferId, Flow>> flows_;
   std::vector<std::size_t> link_flow_count_;
   std::vector<util::SimTime> link_busy_time_;
+  /// Links with at least one flow, in no particular order (each link
+  /// accumulates its own busy time, so order never matters), and each busy
+  /// link's position in it: settle() walks only these, and a link leaves
+  /// by swap-remove.
+  std::vector<LinkId> busy_links_;
+  std::vector<std::size_t> busy_pos_;
   std::vector<double> link_scale_;
   /// Links whose flow count or scale changed since the last reallocate();
   /// the flag vector answers "is dirty?" in O(1), the id list makes

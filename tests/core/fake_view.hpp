@@ -12,6 +12,7 @@ class FakeGridView final : public GridView {
  public:
   explicit FakeGridView(std::size_t num_sites, std::size_t num_datasets)
       : loads_(num_sites, 0),
+        alive_(num_sites, true),
         compute_elements_(num_sites, 2),
         speeds_(num_sites, 1.0),
         replicas_(num_datasets),
@@ -26,6 +27,7 @@ class FakeGridView final : public GridView {
 
   // --- test controls ---
   std::vector<std::size_t> loads_;
+  std::vector<bool> alive_;
   std::vector<std::size_t> compute_elements_;
   std::vector<double> speeds_;
   std::vector<std::vector<data::SiteIndex>> replicas_;
@@ -35,12 +37,21 @@ class FakeGridView final : public GridView {
   std::size_t congestion_ = 0;
   util::MbPerSec bandwidth_ = 10.0;
   util::SimTime now_ = 0.0;
+  /// Per-site probes answered (site_load, site_alive, site_has_dataset).
+  mutable std::size_t site_probes_ = 0;
 
   void place(data::DatasetId d, data::SiteIndex s) { replicas_[d].push_back(s); }
 
   // --- GridView ---
   [[nodiscard]] std::size_t num_sites() const override { return loads_.size(); }
-  [[nodiscard]] std::size_t site_load(data::SiteIndex s) const override { return loads_[s]; }
+  [[nodiscard]] std::size_t site_load(data::SiteIndex s) const override {
+    ++site_probes_;
+    return loads_[s];
+  }
+  [[nodiscard]] bool site_alive(data::SiteIndex s) const override {
+    ++site_probes_;
+    return alive_[s];
+  }
   [[nodiscard]] std::size_t site_compute_elements(data::SiteIndex s) const override {
     return compute_elements_[s];
   }
@@ -52,6 +63,7 @@ class FakeGridView final : public GridView {
     return replicas_[d];
   }
   [[nodiscard]] bool site_has_dataset(data::SiteIndex s, data::DatasetId d) const override {
+    ++site_probes_;
     for (auto h : replicas_[d]) {
       if (h == s) return true;
     }

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <set>
+#include <string>
 
+#include "core/grid.hpp"
 #include "fake_view.hpp"
 #include "util/error.hpp"
 
@@ -93,6 +100,207 @@ TEST(JobDataPresent, NoHolderAnywhereFallsBackToLeastLoadedOverall) {
   JobDataPresentEs es;
   auto job = make_job(1, 3, {0});
   EXPECT_EQ(es.select_site(job, view, rng), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the full-grid JobDataPresent scan — every placeable site in index
+// order, each probed for every input. The holder scan must choose the same
+// site and consume the same rng draws.
+
+std::vector<data::SiteIndex> full_scan_placeable_sites(const GridView& view) {
+  std::vector<data::SiteIndex> alive;
+  alive.reserve(view.num_sites());
+  for (std::size_t s = 0; s < view.num_sites(); ++s) {
+    auto site = static_cast<data::SiteIndex>(s);
+    if (view.site_alive(site)) alive.push_back(site);
+  }
+  if (alive.empty()) {
+    alive.resize(view.num_sites());
+    for (std::size_t s = 0; s < alive.size(); ++s) alive[s] = static_cast<data::SiteIndex>(s);
+  }
+  return alive;
+}
+
+data::SiteIndex full_scan_least_loaded_of(const std::vector<data::SiteIndex>& candidates,
+                                          const GridView& view, util::Rng& rng) {
+  std::size_t best = std::numeric_limits<std::size_t>::max();
+  for (auto s : candidates) best = std::min(best, view.site_load(s));
+  std::vector<data::SiteIndex> ties;
+  for (auto s : candidates) {
+    if (view.site_load(s) == best) ties.push_back(s);
+  }
+  return ties[rng.index(ties.size())];
+}
+
+class FullScanJobDataPresentEs final : public ExternalScheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "JobDataPresent"; }
+  [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
+                                            util::Rng& rng) override {
+    std::vector<data::SiteIndex> qualifying;
+    double best_mb = -1.0;
+    for (data::SiteIndex site : full_scan_placeable_sites(view)) {
+      double mb = 0.0;
+      for (auto input : job.inputs) {
+        if (view.site_has_dataset(site, input)) mb += view.dataset_size_mb(input);
+      }
+      if (mb > best_mb + util::kEpsilon) {
+        best_mb = mb;
+        qualifying.clear();
+        qualifying.push_back(site);
+      } else if (mb >= best_mb - util::kEpsilon) {
+        qualifying.push_back(site);
+      }
+    }
+    return full_scan_least_loaded_of(qualifying, view, rng);
+  }
+};
+
+TEST(JobDataPresent, HolderScanMatchesFullScanOracleOnRandomViews) {
+  util::Rng gen(2024);
+  JobDataPresentEs es;
+  FullScanJobDataPresentEs oracle;
+  // Sizes repeat and sum exactly (250 + 250 + 500 = 1000) so scores tie;
+  // 0 and half an epsilon are the inputs a holder scan cannot score alone.
+  const util::Megabytes kSizes[] = {1000.0, 1000.0, 500.0, 250.0, 0.0, 0.5 * util::kEpsilon};
+  // How often each edge case came up: every one must be exercised.
+  std::size_t dead_holder = 0, every_holder_dead = 0, all_sites_dead = 0, no_holder = 0,
+              duplicate_input = 0, tiny_input = 0, tied_best = 0;
+  for (std::uint64_t trial = 0; trial < 4000; ++trial) {
+    std::size_t sites = 1 + gen.index(10);
+    std::size_t datasets = 1 + gen.index(5);
+    FakeGridView view(sites, datasets);
+    for (auto& size : view.sizes_) size = kSizes[gen.index(std::size(kSizes))];
+    for (auto& load : view.loads_) load = gen.index(3);
+    for (data::DatasetId d = 0; d < datasets; ++d) {
+      for (std::size_t s = 0; s < sites; ++s) {
+        if (gen.chance(0.3)) view.place(d, static_cast<data::SiteIndex>(s));
+      }
+      gen.shuffle(view.replicas_[d]);  // the catalog keeps insertion order
+    }
+    const bool everything_dead = gen.chance(0.1);
+    for (std::size_t s = 0; s < sites; ++s) view.alive_[s] = !everything_dead && gen.chance(0.75);
+    std::vector<data::DatasetId> inputs(1 + gen.index(4));
+    for (auto& input : inputs) input = static_cast<data::DatasetId>(gen.index(datasets));
+    auto job = make_job(trial, static_cast<data::SiteIndex>(gen.index(sites)), inputs);
+
+    std::set<data::SiteIndex> holders;
+    for (auto input : inputs) {
+      holders.insert(view.replicas_[input].begin(), view.replicas_[input].end());
+      if (view.sizes_[input] <= util::kEpsilon) ++tiny_input;
+    }
+    auto dead = [&](data::SiteIndex s) { return !view.alive_[s]; };
+    if (std::any_of(holders.begin(), holders.end(), dead)) ++dead_holder;
+    if (!holders.empty() && std::all_of(holders.begin(), holders.end(), dead) &&
+        !everything_dead) {
+      ++every_holder_dead;
+    }
+    all_sites_dead += everything_dead ? 1 : 0;
+    no_holder += holders.empty() ? 1 : 0;
+    if (std::set<data::DatasetId>(inputs.begin(), inputs.end()).size() < inputs.size()) {
+      ++duplicate_input;
+    }
+    std::vector<double> scores;
+    for (auto h : holders) {
+      double mb = 0.0;
+      for (auto input : inputs) {
+        if (view.site_has_dataset(h, input)) mb += view.sizes_[input];
+      }
+      scores.push_back(mb);
+    }
+    std::sort(scores.rbegin(), scores.rend());
+    if (scores.size() > 1 && scores[0] > 0.0 && scores[0] == scores[1]) ++tied_best;
+
+    util::Rng a(trial);
+    util::Rng b(trial);
+    ASSERT_EQ(es.select_site(job, view, a), oracle.select_site(job, view, b)) << "trial " << trial;
+    ASSERT_EQ(a.next_u64(), b.next_u64()) << "rng draws differ, trial " << trial;
+  }
+  EXPECT_GT(dead_holder, 0u);
+  EXPECT_GT(every_holder_dead, 0u);
+  EXPECT_GT(all_sites_dead, 0u);
+  EXPECT_GT(no_holder, 0u);
+  EXPECT_GT(duplicate_input, 0u);
+  EXPECT_GT(tiny_input, 0u);
+  EXPECT_GT(tied_best, 0u);
+}
+
+TEST(JobDataPresent, ScoresOnlyHoldersWhenExact) {
+  // 200 sites, one holder: the decision probes site 150 alone.
+  FakeGridView view(200, 2);
+  view.place(1, 150);
+  util::Rng rng(12);
+  JobDataPresentEs es;
+  EXPECT_EQ(es.select_site(make_job(1, 0, {1}), view, rng), 150u);
+  EXPECT_EQ(view.site_probes_, 4u);  // alive, has_dataset, two load reads
+
+  // A zero-size input makes non-holders tie with holders: full scan.
+  view.sizes_[1] = 0.0;
+  view.site_probes_ = 0;
+  (void)es.select_site(make_job(2, 0, {1}), view, rng);
+  EXPECT_GT(view.site_probes_, 200u);
+}
+
+/// Every RunMetrics field except view_queries (the holder scan answers
+/// fewer queries by design), as hexfloat text, so any bit difference shows.
+std::string fingerprint(const RunMetrics& m) {
+  std::string out;
+  char buf[64];
+  for (double v : {m.makespan_s, m.avg_response_time_s, m.p95_response_time_s,
+                   m.response_summary.mean, m.response_summary.stddev,
+                   m.response_summary.min, m.response_summary.max, m.avg_placement_wait_s,
+                   m.avg_queue_wait_s, m.avg_data_wait_s, m.avg_compute_s,
+                   m.avg_output_wait_s, m.avg_data_per_job_mb, m.avg_fetch_per_job_mb,
+                   m.avg_replication_per_job_mb, m.avg_output_per_job_mb, m.total_mb_hops,
+                   m.idle_fraction, m.utilization, m.avg_link_busy_fraction,
+                   m.max_link_busy_fraction}) {
+    std::snprintf(buf, sizeof buf, "%a;", v);
+    out += buf;
+  }
+  for (std::uint64_t v :
+       {m.jobs_completed, static_cast<std::uint64_t>(m.response_summary.count),
+        m.remote_fetches, m.replications, m.local_data_hits, m.local_data_misses,
+        m.cache_evictions, m.jobs_run_at_origin, m.site_crashes, m.site_recoveries,
+        m.jobs_resubmitted, m.transfer_retries, m.output_retries, m.transfers_aborted,
+        m.catalog_invalidations, m.events_executed, m.event_pushes, m.event_cancels,
+        m.peak_heap_size, m.queue_compactions, m.reallocations, m.flows_rescheduled,
+        m.reschedules_skipped, m.rate_recomputes_skipped}) {
+    out += std::to_string(v) + ";";
+  }
+  return out;
+}
+
+TEST(JobDataPresent, HolderScanRunsBitIdenticalToFullScanOracle) {
+  for (DsAlgorithm ds : paper_ds_algorithms()) {
+    for (bool faults : {false, true}) {
+      for (double staleness : {0.0, 120.0}) {
+        SimulationConfig cfg;
+        cfg.es = EsAlgorithm::JobDataPresent;
+        cfg.ds = ds;
+        cfg.seed = 31;
+        cfg.total_jobs = 2400;
+        cfg.info_staleness_s = staleness;
+        if (faults) {
+          cfg.fault_site_crash_rate_per_hour = 0.5;
+          cfg.fault_site_downtime_s = 1800.0;
+          cfg.fault_transfer_fail_prob = 0.05;
+          cfg.fault_catalog_loss_rate_per_hour = 30.0;
+        }
+        SCOPED_TRACE(std::string(to_string(ds)) + (faults ? " faults" : " no faults") +
+                     " staleness " + std::to_string(staleness));
+        Grid holder_scan(cfg);
+        holder_scan.run();
+        Grid full_scan(cfg);
+        full_scan.set_external_scheduler(std::make_unique<FullScanJobDataPresentEs>());
+        full_scan.run();
+        EXPECT_EQ(fingerprint(holder_scan.metrics()), fingerprint(full_scan.metrics()));
+        EXPECT_LT(holder_scan.metrics().view_queries, full_scan.metrics().view_queries);
+        if (faults) {
+          EXPECT_GT(holder_scan.metrics().site_crashes, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(JobAdaptive, PrefersDataSiteWhenNetworkIsSlow) {

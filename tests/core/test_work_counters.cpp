@@ -52,6 +52,10 @@ TEST(WorkCounters, Table1JobDataPresentDataLeastLoaded) {
                    m.reallocations, m.flows_rescheduled, m.reschedules_skipped,
                    m.rate_recomputes_skipped},
                   {12628, 14031, 1402, 121, 814, 1808, 819, 2306});
+  // GridView queries answered by the InfoService ("sites scanned"). The
+  // full-grid JobDataPresent scan answered 684259; scoring only replica
+  // holders leaves 215993, most of them DataLeastLoaded's neighbour probes.
+  EXPECT_EQ(m.view_queries, 215993u);
 }
 
 // The transfer-churn workload of bench_micro_engine --engine-json: 2048
