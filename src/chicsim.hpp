@@ -71,6 +71,5 @@
 #include "core/replication_driver.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "core/timeline.hpp"
 #include "core/world_builder.hpp"

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/enum_names.hpp"
@@ -105,22 +105,21 @@ constexpr auto enum_names(ReplicaSelection) {
                                             "LeastLoadedSource");
 }
 
-/// Name of any enum with a name table (these and the net:: ones).
+/// Name of any enum with a name table (these, the net:: ones, and the
+/// event, fault and critical-path enums).
 template <typename Enum>
   requires requires(Enum e) { enum_names(e); }
 [[nodiscard]] constexpr const char* to_string(Enum e) {
   return enum_names(e).name(e);
 }
 
-/// Case-insensitive parse; throws util::SimError on unknown names.
-[[nodiscard]] EsAlgorithm es_from_string(const std::string& name);
-[[nodiscard]] DsAlgorithm ds_from_string(const std::string& name);
-[[nodiscard]] LsAlgorithm ls_from_string(const std::string& name);
-[[nodiscard]] ReplicaSelection replica_selection_from_string(const std::string& name);
-[[nodiscard]] NeighborScope neighbor_scope_from_string(const std::string& name);
-[[nodiscard]] EsMapping es_mapping_from_string(const std::string& name);
-[[nodiscard]] SubmissionMode submission_mode_from_string(const std::string& name);
-[[nodiscard]] TopologyKind topology_kind_from_string(const std::string& name);
+/// Case-insensitive parse of any enum with a name table; throws
+/// util::SimError naming the choices on an unknown name.
+template <typename Enum>
+  requires requires(Enum e) { enum_names(e); }
+[[nodiscard]] Enum from_string(std::string_view name) {
+  return enum_names(Enum{}).parse(name);
+}
 
 /// The 4 ES and 3 DS algorithms evaluated in the paper (matrix order of
 /// Figures 3-4).

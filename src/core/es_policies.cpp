@@ -15,30 +15,51 @@ namespace {
 /// policy crash). In a fault-free run this is always the full site list,
 /// so the liveness filter perturbs nothing.
 std::vector<data::SiteIndex> placeable_sites(const GridView& view) {
+  const std::size_t n = view.num_sites();
   std::vector<data::SiteIndex> alive;
-  alive.reserve(view.num_sites());
-  for (std::size_t s = 0; s < view.num_sites(); ++s) {
+  alive.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) {
     auto site = static_cast<data::SiteIndex>(s);
     if (view.site_alive(site)) alive.push_back(site);
   }
   if (alive.empty()) {
-    alive.resize(view.num_sites());
-    for (std::size_t s = 0; s < alive.size(); ++s) alive[s] = static_cast<data::SiteIndex>(s);
+    alive.resize(n);
+    for (std::size_t s = 0; s < n; ++s) alive[s] = static_cast<data::SiteIndex>(s);
   }
   return alive;
+}
+
+/// The decision every placement rule shares: the candidates whose score is
+/// within `eps` of the lowest, in candidate order. Each score is computed
+/// once; a candidate more than `eps` below the running best restarts the
+/// list, one within `eps` of it joins. The caller draws among the ties
+/// through its rng, so equal scores never funnel to the lowest index.
+template <typename Score>
+std::vector<data::SiteIndex> min_ties(const std::vector<data::SiteIndex>& candidates,
+                                      Score score, double eps) {
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<data::SiteIndex> ties;
+  for (data::SiteIndex c : candidates) {
+    double v = score(c);
+    if (v < best - eps) {
+      best = v;
+      ties.clear();
+      ties.push_back(c);
+    } else if (v <= best + eps) {
+      ties.push_back(c);
+    }
+  }
+  CHICSIM_ASSERT_MSG(!ties.empty(), "placement with no candidates");
+  return ties;
 }
 
 /// Among `candidates`, keep those with minimal load; return one uniformly
 /// at random (deterministic given the rng stream).
 data::SiteIndex least_loaded_of(const std::vector<data::SiteIndex>& candidates,
                                 const GridView& view, util::Rng& rng) {
-  CHICSIM_ASSERT_MSG(!candidates.empty(), "least_loaded_of with no candidates");
-  std::size_t best = std::numeric_limits<std::size_t>::max();
-  for (auto s : candidates) best = std::min(best, view.site_load(s));
-  std::vector<data::SiteIndex> ties;
-  for (auto s : candidates) {
-    if (view.site_load(s) == best) ties.push_back(s);
-  }
+  auto ties = min_ties(
+      candidates, [&](data::SiteIndex s) { return static_cast<double>(view.site_load(s)); },
+      0.0);
   return ties[rng.index(ties.size())];
 }
 
@@ -76,7 +97,8 @@ std::vector<data::SiteIndex> data_present_candidates(const site::Job& job,
     return holders;
   }
   // Every holder looks dead: they are placeable only if every site is.
-  for (std::size_t s = 0; s < view.num_sites(); ++s) {
+  const std::size_t n = view.num_sites();
+  for (std::size_t s = 0; s < n; ++s) {
     if (view.site_alive(static_cast<data::SiteIndex>(s))) return placeable_sites(view);
   }
   return holders;
@@ -88,10 +110,6 @@ data::SiteIndex JobRandomEs::select_site(const site::Job& job, const GridView& v
                                          util::Rng& rng) {
   (void)job;
   std::vector<data::SiteIndex> sites = placeable_sites(view);
-  // The full-grid case keeps the historical single-draw shape exactly.
-  if (sites.size() == view.num_sites()) {
-    return static_cast<data::SiteIndex>(rng.index(view.num_sites()));
-  }
   return sites[rng.index(sites.size())];
 }
 
@@ -104,24 +122,19 @@ data::SiteIndex JobLeastLoadedEs::select_site(const site::Job& job, const GridVi
 data::SiteIndex JobDataPresentEs::select_site(const site::Job& job, const GridView& view,
                                               util::Rng& rng) {
   CHICSIM_ASSERT_MSG(!job.inputs.empty(), "job without inputs");
-  // Score each candidate by locally present input megabytes; the best
-  // scorers qualify, the least loaded of them wins.
-  std::vector<data::SiteIndex> qualifying;
-  double best_mb = -1.0;
-  for (data::SiteIndex site : data_present_candidates(job, view)) {
-    double mb = 0.0;
-    for (auto input : job.inputs) {
-      if (view.site_has_dataset(site, input)) mb += view.dataset_size_mb(input);
-    }
-    if (mb > best_mb + util::kEpsilon) {
-      best_mb = mb;
-      qualifying.clear();
-      qualifying.push_back(site);
-    } else if (mb >= best_mb - util::kEpsilon) {
-      qualifying.push_back(site);
-    }
-  }
-  CHICSIM_ASSERT(!qualifying.empty());
+  // Score each candidate by locally present input megabytes (negated: the
+  // scan keeps minima); the best scorers qualify, the least loaded of them
+  // wins.
+  auto qualifying = min_ties(
+      data_present_candidates(job, view),
+      [&](data::SiteIndex site) {
+        double mb = 0.0;
+        for (auto input : job.inputs) {
+          if (view.site_has_dataset(site, input)) mb += view.dataset_size_mb(input);
+        }
+        return -mb;
+      },
+      util::kEpsilon);
   return least_loaded_of(qualifying, view, rng);
 }
 
@@ -184,41 +197,19 @@ data::SiteIndex JobAdaptiveEs::select_site(const site::Job& job, const GridView&
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
 
-  double best_est = std::numeric_limits<double>::infinity();
-  std::vector<data::SiteIndex> ties;
-  for (auto c : candidates) {
-    double est = estimate_completion_s(job, c, view);
-    if (est < best_est - util::kEpsilon) {
-      best_est = est;
-      ties.clear();
-      ties.push_back(c);
-    } else if (est <= best_est + util::kEpsilon) {
-      ties.push_back(c);
-    }
-  }
-  CHICSIM_ASSERT(!ties.empty());
+  auto ties = min_ties(
+      candidates, [&](data::SiteIndex c) { return estimate_completion_s(job, c, view); },
+      util::kEpsilon);
   return ties[rng.index(ties.size())];
 }
 
 data::SiteIndex JobBestEstimateEs::select_site(const site::Job& job, const GridView& view,
                                                util::Rng& rng) {
   CHICSIM_ASSERT_MSG(!job.inputs.empty(), "job without inputs");
-  // Collect the epsilon tie-set and break it through the rng (same shape as
-  // least_loaded_of): the previous first-wins scan silently funnelled every
-  // tie to the lowest site index, skewing load toward site 0.
-  double best_est = std::numeric_limits<double>::infinity();
-  std::vector<data::SiteIndex> ties;
-  for (data::SiteIndex candidate : placeable_sites(view)) {
-    double est = JobAdaptiveEs::estimate_completion_s(job, candidate, view);
-    if (est < best_est - util::kEpsilon) {
-      best_est = est;
-      ties.clear();
-      ties.push_back(candidate);
-    } else if (est <= best_est + util::kEpsilon) {
-      ties.push_back(candidate);
-    }
-  }
-  CHICSIM_ASSERT(!ties.empty());
+  auto ties = min_ties(
+      placeable_sites(view),
+      [&](data::SiteIndex c) { return JobAdaptiveEs::estimate_completion_s(job, c, view); },
+      util::kEpsilon);
   return ties[rng.index(ties.size())];
 }
 

@@ -70,9 +70,10 @@ class JobAdaptiveEs final : public ExternalScheduler {
 };
 
 /// Extension: exhaustive estimated-completion scheduling — evaluate the
-/// JobAdaptive estimate at *every* site and take the argmin (ties by lowest
-/// index for determinism). The centralized-omniscient upper bound the
-/// decoupled heuristics are compared against.
+/// JobAdaptive estimate at *every* site and take the argmin (ties within
+/// kEpsilon are drawn uniformly through the rng, like every other ES
+/// tie-break). The centralized-omniscient upper bound the decoupled
+/// heuristics are compared against.
 class JobBestEstimateEs final : public ExternalScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "JobBestEstimate"; }

@@ -8,31 +8,6 @@
 
 namespace chicsim::core {
 
-const char* to_string(GridEventType type) {
-  switch (type) {
-    case GridEventType::JobSubmitted: return "job_submitted";
-    case GridEventType::JobDispatched: return "job_dispatched";
-    case GridEventType::JobDataReady: return "job_data_ready";
-    case GridEventType::JobStarted: return "job_started";
-    case GridEventType::JobComputeDone: return "job_compute_done";
-    case GridEventType::JobCompleted: return "job_completed";
-    case GridEventType::FetchStarted: return "fetch_started";
-    case GridEventType::FetchJoined: return "fetch_joined";
-    case GridEventType::FetchCompleted: return "fetch_completed";
-    case GridEventType::ReplicationStarted: return "replication_started";
-    case GridEventType::ReplicationCompleted: return "replication_completed";
-    case GridEventType::ReplicaStored: return "replica_stored";
-    case GridEventType::ReplicaEvicted: return "replica_evicted";
-    case GridEventType::SiteFailed: return "site_failed";
-    case GridEventType::SiteRecovered: return "site_recovered";
-    case GridEventType::TransferRetried: return "transfer_retried";
-    case GridEventType::JobResubmitted: return "job_resubmitted";
-    case GridEventType::CatalogInvalidated: return "catalog_invalidated";
-    case GridEventType::LinkDegraded: return "link_degraded";
-  }
-  return "?";
-}
-
 void EventLog::on_event(const GridEvent& event) {
   events_.push_back(event);
   auto idx = static_cast<std::size_t>(event.type);

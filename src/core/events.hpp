@@ -13,6 +13,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "core/algorithms.hpp"
 #include "data/dataset.hpp"
 #include "data/replica_catalog.hpp"
 #include "site/job.hpp"
@@ -47,8 +48,17 @@ enum class GridEventType : std::uint8_t {
                          ///< carries the new scale factor (1.0 = restored)
 };
 
-[[nodiscard]] const char* to_string(GridEventType type);
-inline constexpr std::size_t kNumGridEventTypes = 19;
+constexpr auto enum_names(GridEventType) {
+  return util::enum_table<GridEventType>(
+      "grid event type", "job_submitted", "job_dispatched", "job_data_ready", "job_started",
+      "job_compute_done", "job_completed", "fetch_started", "fetch_joined", "fetch_completed",
+      "replication_started", "replication_completed", "replica_stored", "replica_evicted",
+      "site_failed", "site_recovered", "transfer_retried", "job_resubmitted",
+      "catalog_invalidated", "link_degraded");
+}
+inline constexpr std::size_t kNumGridEventTypes = enum_names(GridEventType{}).names.size();
+static_assert(kNumGridEventTypes == static_cast<std::size_t>(GridEventType::LinkDegraded) + 1,
+              "every GridEventType needs a name");
 
 /// One trace record. Fields not meaningful for the type are left at their
 /// sentinel values (kNoJob / kNoDataset / kNoSite / 0).
@@ -69,20 +79,11 @@ class GridObserver {
   virtual void on_event(const GridEvent& event) = 0;
 };
 
-/// Where the core services publish structured events. Services never talk
-/// to observers directly — they see only this sink, so a service can be
-/// unit-tested against a recording stub.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  /// Stamp the current virtual time on `event` and fan it out.
-  virtual void emit(GridEvent event) = 0;
-};
-
-/// The Grid's event bus: owns the observer list and the clock used to stamp
-/// events. Pay-for-what-you-use: with no observers attached, emit() is a
-/// null check and the clock is never consulted.
-class EventBus final : public EventSink {
+/// The Grid's event bus, where the core services publish structured events
+/// (services never talk to observers directly): owns the observer list and
+/// the clock used to stamp events. Pay-for-what-you-use: with no observers
+/// attached, emit() is a null check and the clock is never consulted.
+class EventBus final {
  public:
   /// `clock` supplies the virtual time stamped on every emitted event; it
   /// must be set before the first observer sees an event.
@@ -91,7 +92,8 @@ class EventBus final : public EventSink {
   /// The observer is non-owning and must outlive every emit.
   void add_observer(GridObserver* observer);
 
-  void emit(GridEvent event) override;
+  /// Stamp the current virtual time on `event` and fan it out.
+  void emit(GridEvent event);
 
  private:
   std::function<util::SimTime()> clock_;

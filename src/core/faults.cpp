@@ -11,18 +11,6 @@
 
 namespace chicsim::core {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::SiteCrash: return "site_crash";
-    case FaultKind::SiteRecover: return "site_recover";
-    case FaultKind::TransferAbort: return "transfer_abort";
-    case FaultKind::LinkDegrade: return "link_degrade";
-    case FaultKind::LinkRestore: return "link_restore";
-    case FaultKind::CatalogEntryLoss: return "catalog_entry_loss";
-  }
-  return "unknown";
-}
-
 // --- FaultPlan builders ---
 
 FaultPlan& FaultPlan::crash_site(util::SimTime at, data::SiteIndex site) {
@@ -135,7 +123,7 @@ FaultInjector::FaultInjector(const SimulationConfig& config, sim::Engine& engine
                              data::ReplicaCatalog& replicas, const net::Topology& topology,
                              net::TransferManager& transfers, FetchPlanner& fetch,
                              ReplicationDriver& replication, JobLifecycle& lifecycle,
-                             EventSink& events)
+                             EventBus& events)
     : config_(config),
       engine_(engine),
       logger_(logger),
@@ -155,11 +143,6 @@ void FaultInjector::schedule(const FaultPlan& plan) {
     FaultAction a = action;  // plan may not outlive scheduling; copy by value
     engine_.schedule_at(a.at, "fault_action", [this, a] { apply(a); });
   }
-}
-
-bool FaultInjector::site_alive(data::SiteIndex s) const {
-  CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
-  return sites_[s].alive();
 }
 
 void FaultInjector::apply(const FaultAction& action) {

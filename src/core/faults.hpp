@@ -46,7 +46,11 @@ enum class FaultKind : std::uint8_t {
   CatalogEntryLoss,  ///< silently drop one physical copy; the catalog lies
 };
 
-[[nodiscard]] const char* to_string(FaultKind kind);
+constexpr auto enum_names(FaultKind) {
+  return util::enum_table<FaultKind>("fault kind", "site_crash", "site_recover",
+                                     "transfer_abort", "link_degrade", "link_restore",
+                                     "catalog_entry_loss");
+}
 
 /// One scheduled failure. Which fields matter depends on `kind`.
 struct FaultAction {
@@ -111,16 +115,13 @@ class FaultInjector {
                 data::ReplicaCatalog& replicas, const net::Topology& topology,
                 net::TransferManager& transfers, FetchPlanner& fetch,
                 ReplicationDriver& replication, JobLifecycle& lifecycle,
-                EventSink& events);
+                EventBus& events);
 
   /// Put every action of `plan` on the calendar. Call before the first
   /// submission event so fault/submission ties resolve in schedule order.
   void schedule(const FaultPlan& plan);
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
-
-  /// Ground-truth liveness (test seam; policies must use GridView).
-  [[nodiscard]] bool site_alive(data::SiteIndex s) const;
 
   /// Remove replica-catalog entries whose physical copy silently vanished
   /// (the CatalogEntryLoss stream): emits CatalogInvalidated per lie and
@@ -147,7 +148,7 @@ class FaultInjector {
   FetchPlanner& fetch_;
   ReplicationDriver& replication_;
   JobLifecycle& lifecycle_;
-  EventSink& events_;
+  EventBus& events_;
 
   FaultStats stats_;
 };

@@ -1,8 +1,10 @@
 #include "core/fetch_planner.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <tuple>
 
+#include "core/job_lifecycle.hpp"
 #include "core/replication_driver.hpp"
 #include "util/error.hpp"
 
@@ -13,7 +15,7 @@ FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
                            const data::DatasetCatalog& catalog,
                            data::ReplicaCatalog& replicas, const net::Routing& routing,
                            net::TransferManager& transfers, ReplicationDriver& replication,
-                           EventSink& events)
+                           EventBus& events)
     : config_(config),
       engine_(engine),
       sites_(sites),
@@ -28,7 +30,7 @@ FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
   pending_fetches_.resize(sites_.size());
 }
 
-void FetchPlanner::bind_jobs(JobRunner& jobs) { jobs_ = &jobs; }
+void FetchPlanner::bind_jobs(JobLifecycle& jobs) { jobs_ = &jobs; }
 
 std::size_t FetchPlanner::pending_fetches(data::SiteIndex dest) const {
   CHICSIM_ASSERT_MSG(dest < pending_fetches_.size(), "site index out of range");
@@ -204,12 +206,7 @@ void FetchPlanner::on_site_crashed(data::SiteIndex s) {
   // (still intact) sources, drop the waiters wholesale — the JobLifecycle
   // resets and resubmits those jobs right after this teardown.
   auto& toward = pending_fetches_[s];
-  std::vector<data::DatasetId> keys;
-  keys.reserve(toward.size());
-  for (const auto& [dataset, fetch] : toward) keys.push_back(dataset);
-  std::sort(keys.begin(), keys.end());
-  for (data::DatasetId dataset : keys) {
-    PendingFetch& fetch = toward.at(dataset);
+  for (auto& [dataset, fetch] : toward) {
     if (fetch.transfer != net::kNoTransfer) {
       transfers_.abort(fetch.transfer);
       sites_[fetch.source].storage().release(dataset);
@@ -225,19 +222,19 @@ void FetchPlanner::on_site_crashed(data::SiteIndex s) {
   for (data::SiteIndex dest = 0; dest < pending_fetches_.size(); ++dest) {
     if (dest == s) continue;
     auto& pending = pending_fetches_[dest];
-    keys.clear();
-    for (const auto& [dataset, fetch] : pending) {
-      if (fetch.source == s) keys.push_back(dataset);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (data::DatasetId dataset : keys) {
-      PendingFetch& fetch = pending.at(dataset);
-      CHICSIM_ASSERT(fetch.transfer != net::kNoTransfer);
-      transfers_.abort(fetch.transfer);
-      sites_[s].storage().release(dataset);
-      fetch.transfer = net::kNoTransfer;
-      fetch.source = data::kNoSite;
-      retry_fetch(dest, dataset);
+    for (auto it = pending.begin(); it != pending.end();) {
+      // retry_fetch may complete (erase) this entry and touches no other.
+      auto next = std::next(it);
+      PendingFetch& fetch = it->second;
+      if (fetch.source == s) {
+        CHICSIM_ASSERT(fetch.transfer != net::kNoTransfer);
+        transfers_.abort(fetch.transfer);
+        sites_[s].storage().release(it->first);
+        fetch.transfer = net::kNoTransfer;
+        fetch.source = data::kNoSite;
+        retry_fetch(dest, it->first);
+      }
+      it = next;
     }
   }
 }

@@ -17,12 +17,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/events.hpp"
-#include "core/service_interfaces.hpp"
 #include "data/catalog.hpp"
 #include "data/replica_catalog.hpp"
 #include "net/routing.hpp"
@@ -33,6 +32,7 @@
 
 namespace chicsim::core {
 
+class JobLifecycle;
 class ReplicationDriver;
 
 class FetchPlanner final {
@@ -42,10 +42,11 @@ class FetchPlanner final {
                std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
                data::ReplicaCatalog& replicas, const net::Routing& routing,
                net::TransferManager& transfers, ReplicationDriver& replication,
-               EventSink& events);
+               EventBus& events);
 
-  /// Late wiring for the one cyclic seam (fetch completions restart jobs).
-  void bind_jobs(JobRunner& jobs);
+  /// Late wiring for the one cyclic dependency (fetch completions restart
+  /// jobs).
+  void bind_jobs(JobLifecycle& jobs);
 
   /// Ensure one input of a queued job is (or becomes) locally available at
   /// job.exec_site; increments job.inputs_pending while a fetch is needed.
@@ -134,15 +135,15 @@ class FetchPlanner final {
   const net::Routing& routing_;
   net::TransferManager& transfers_;
   ReplicationDriver& replication_;
-  EventSink& events_;
-  JobRunner* jobs_ = nullptr;
+  EventBus& events_;
+  JobLifecycle* jobs_ = nullptr;
 
   util::Rng rng_fetch_;
   util::Rng rng_faults_;  ///< per-transfer failure draws; untouched otherwise
 
-  /// Per destination site: datasets currently being fetched there.
-  // detlint: order-insensitive: keyed lookups only; crash teardown snapshots the keys and sorts them before acting
-  std::vector<std::unordered_map<data::DatasetId, PendingFetch>> pending_fetches_;
+  /// Per destination site: datasets currently being fetched there, in
+  /// dataset order (the order crash teardown acts in).
+  std::vector<std::map<data::DatasetId, PendingFetch>> pending_fetches_;
 
   std::uint64_t remote_fetches_ = 0;
   std::uint64_t transfer_retries_ = 0;

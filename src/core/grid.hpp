@@ -15,9 +15,11 @@
 //   ReplicationDriver  the Dataset Scheduler timer, demand signals and
 //                      replication pushes
 //
-// Services communicate through narrow seams (GridView, JobRunner, the
-// EventBus); the Grid itself only composes them, routes the public API and
-// assembles the final metrics.
+// Policies observe the world only through the GridView; the services
+// publish to the EventBus and call each other directly (FetchPlanner and
+// ReplicationDriver wake the JobLifecycle when data lands). The Grid itself
+// only composes them, routes the public API and assembles the final
+// metrics.
 #pragma once
 
 #include <memory>

@@ -12,7 +12,7 @@ JobLifecycle::JobLifecycle(const SimulationConfig& config, sim::Engine& engine,
                            util::Logger& logger, std::vector<site::Site>& sites,
                            const workload::Workload& workload,
                            net::TransferManager& transfers, FetchPlanner& fetch,
-                           const GridView& view, EventSink& events,
+                           const GridView& view, EventBus& events,
                            MetricsCollector& collector, std::function<void()> on_all_complete)
     : config_(config),
       engine_(engine),

@@ -25,7 +25,6 @@
 #include "core/events.hpp"
 #include "core/metrics.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "net/transfer_manager.hpp"
 #include "sim/engine.hpp"
 #include "site/site.hpp"
@@ -37,7 +36,7 @@ namespace chicsim::core {
 
 class FetchPlanner;
 
-class JobLifecycle final : public JobRunner {
+class JobLifecycle final {
  public:
   /// Instantiates the job table from `workload` (ids must be dense in
   /// [1, total]). References are non-owning and must outlive the service;
@@ -46,13 +45,11 @@ class JobLifecycle final : public JobRunner {
   JobLifecycle(const SimulationConfig& config, sim::Engine& engine, util::Logger& logger,
                std::vector<site::Site>& sites, const workload::Workload& workload,
                net::TransferManager& transfers, FetchPlanner& fetch, const GridView& view,
-               EventSink& events, MetricsCollector& collector,
+               EventBus& events, MetricsCollector& collector,
                std::function<void()> on_all_complete);
 
   void set_external_scheduler(std::unique_ptr<ExternalScheduler> es);
   void set_local_scheduler(std::unique_ptr<LocalScheduler> ls);
-  [[nodiscard]] const ExternalScheduler& external_scheduler() const { return *es_; }
-  [[nodiscard]] const LocalScheduler& local_scheduler() const { return *ls_; }
 
   /// Kick off the submission processes. Closed loop: all users issue their
   /// first submission at t=0 (user order breaks ties). Open loop: per-user
@@ -68,9 +65,11 @@ class JobLifecycle final : public JobRunner {
   /// Submissions currently queued at the centralized ES (test seam).
   [[nodiscard]] std::size_t central_queue_depth() const { return central_queue_.size(); }
 
-  // --- JobRunner (the seam the data services poke) ---
-  [[nodiscard]] site::Job& job_mut(site::JobId id) override;
-  void try_start_jobs(data::SiteIndex s) override;
+  // --- what the data services call when data lands ---
+  /// Mutable job record (a landed fetch decrements its pending inputs).
+  [[nodiscard]] site::Job& job_mut(site::JobId id);
+  /// Let the site's Local Scheduler start every queued job it can.
+  void try_start_jobs(data::SiteIndex s);
 
   // --- fault recovery (docs/robustness.md) ---
   /// Site-crash recovery: every job stranded on `s` (queued, running, or
@@ -120,7 +119,7 @@ class JobLifecycle final : public JobRunner {
   net::TransferManager& transfers_;
   FetchPlanner& fetch_;
   const GridView& view_;
-  EventSink& events_;
+  EventBus& events_;
   MetricsCollector& collector_;
   std::function<void()> on_all_complete_;
 

@@ -1,8 +1,7 @@
 #include "core/replication_driver.hpp"
 
-#include <algorithm>
-
 #include "core/factory.hpp"
+#include "core/job_lifecycle.hpp"
 #include "util/error.hpp"
 
 namespace chicsim::core {
@@ -58,7 +57,7 @@ ReplicationDriver::ReplicationDriver(const SimulationConfig& config, sim::Engine
                                      const data::DatasetCatalog& catalog,
                                      data::ReplicaCatalog& replicas,
                                      net::TransferManager& transfers, const GridView& view,
-                                     EventSink& events)
+                                     EventBus& events)
     : config_(config),
       engine_(engine),
       sites_(sites),
@@ -75,7 +74,7 @@ ReplicationDriver::ReplicationDriver(const SimulationConfig& config, sim::Engine
 
 ReplicationDriver::~ReplicationDriver() = default;
 
-void ReplicationDriver::bind_jobs(JobRunner& jobs) { jobs_ = &jobs; }
+void ReplicationDriver::bind_jobs(JobLifecycle& jobs) { jobs_ = &jobs; }
 
 void ReplicationDriver::set_dataset_scheduler(std::unique_ptr<DatasetScheduler> ds) {
   CHICSIM_ASSERT_MSG(ds != nullptr, "null dataset scheduler");
@@ -189,23 +188,21 @@ void ReplicationDriver::start_replication(data::SiteIndex from, data::DatasetId 
 }
 
 void ReplicationDriver::on_site_crashed(data::SiteIndex s) {
-  // Collect the doomed pushes first (sorted: map order is not
-  // deterministic), then tear each down. Source pins release against
-  // storage that is still intact — the crash wipe runs after this.
-  std::vector<PushRecord> doomed;
-  for (const auto& [key, record] : pending_pushes_) {
-    if (record.from == s || record.dest == s) doomed.push_back(record);
-  }
-  std::sort(doomed.begin(), doomed.end(), [](const PushRecord& a, const PushRecord& b) {
-    return a.dataset != b.dataset ? a.dataset < b.dataset : a.dest < b.dest;
-  });
-  for (const PushRecord& record : doomed) {
+  // Tear down every push from or toward `s`, in (dataset, dest) order.
+  // Source pins release against storage that is still intact — the crash
+  // wipe runs after this.
+  for (auto it = pending_pushes_.begin(); it != pending_pushes_.end();) {
+    const PushRecord& record = it->second;
+    if (record.from != s && record.dest != s) {
+      ++it;
+      continue;
+    }
     CHICSIM_ASSERT(record.transfer != net::kNoTransfer);
     transfers_.abort(record.transfer);
     CHICSIM_ASSERT(inbound_pushes_[record.dest] > 0);
     --inbound_pushes_[record.dest];
     sites_[record.from].storage().release(record.dataset);
-    pending_pushes_.erase(push_key(record.dataset, record.dest));
+    it = pending_pushes_.erase(it);
   }
 }
 

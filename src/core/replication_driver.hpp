@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -18,7 +19,6 @@
 #include "core/config.hpp"
 #include "core/events.hpp"
 #include "core/scheduler.hpp"
-#include "core/service_interfaces.hpp"
 #include "data/catalog.hpp"
 #include "data/replica_catalog.hpp"
 #include "data/storage.hpp"
@@ -29,6 +29,8 @@
 
 namespace chicsim::core {
 
+class JobLifecycle;
+
 class ReplicationDriver final {
  public:
   /// References are non-owning and must outlive the driver. The DS policy
@@ -36,14 +38,14 @@ class ReplicationDriver final {
   ReplicationDriver(const SimulationConfig& config, sim::Engine& engine,
                     std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
                     data::ReplicaCatalog& replicas, net::TransferManager& transfers,
-                    const GridView& view, EventSink& events);
+                    const GridView& view, EventBus& events);
   ~ReplicationDriver();
 
-  /// Late wiring for the one cyclic seam (push completions restart jobs).
-  void bind_jobs(JobRunner& jobs);
+  /// Late wiring for the one cyclic dependency (push completions restart
+  /// jobs).
+  void bind_jobs(JobLifecycle& jobs);
 
   void set_dataset_scheduler(std::unique_ptr<DatasetScheduler> ds);
-  [[nodiscard]] const DatasetScheduler& dataset_scheduler() const { return *ds_; }
 
   /// Arm the periodic sweep: every ds_check_period_s, evaluate every
   /// site's DS in site order — equivalent to per-site DS instances with a
@@ -104,8 +106,8 @@ class ReplicationDriver final {
   data::ReplicaCatalog& replicas_;
   net::TransferManager& transfers_;
   const GridView& view_;
-  EventSink& events_;
-  JobRunner* jobs_ = nullptr;
+  EventBus& events_;
+  JobLifecycle* jobs_ = nullptr;
 
   std::unique_ptr<DatasetScheduler> ds_;
   std::unique_ptr<sim::PeriodicTimer> timer_;
@@ -119,9 +121,10 @@ class ReplicationDriver final {
     net::TransferId transfer = net::kNoTransfer;
   };
 
-  /// Replication pushes in flight, keyed (dataset, dest) to avoid duplicates.
-  // detlint: order-insensitive: keyed lookups only; on_site_crashed collects the doomed records and sorts by (dataset, dest)
-  std::unordered_map<std::uint64_t, PushRecord> pending_pushes_;
+  /// Replication pushes in flight, keyed (dataset, dest) to avoid
+  /// duplicates; key order is (dataset, dest) order, the order crash
+  /// teardown acts in.
+  std::map<std::uint64_t, PushRecord> pending_pushes_;
   /// In-flight replication pushes per destination site.
   std::vector<std::size_t> inbound_pushes_;
   /// Per site: how often each remote site's community fetched each local dataset.

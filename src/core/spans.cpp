@@ -8,15 +8,6 @@
 
 namespace chicsim::core {
 
-const char* to_string(CriticalPath path) {
-  switch (path) {
-    case CriticalPath::QueueBound: return "queue_bound";
-    case CriticalPath::DataBound: return "data_bound";
-    case CriticalPath::ComputeBound: return "compute_bound";
-  }
-  return "?";
-}
-
 CriticalPath JobSpans::critical_path() const {
   double queue = queue_wait_s();
   double data = data_wait_s();
@@ -30,12 +21,6 @@ JobSpans& SpanBuilder::job_mut(site::JobId id) {
   JobSpans& j = jobs_[id - 1];
   j.job = id;
   return j;
-}
-
-const JobSpans* SpanBuilder::find_job(site::JobId id) const {
-  if (id == site::kNoJob || id > jobs_.size()) return nullptr;
-  const JobSpans& j = jobs_[id - 1];
-  return j.job == site::kNoJob ? nullptr : &j;
 }
 
 void SpanBuilder::on_event(const GridEvent& e) {

@@ -33,7 +33,10 @@ enum class CriticalPath : std::uint8_t {
   ComputeBound,  ///< started immediately; runtime was everything
 };
 
-[[nodiscard]] const char* to_string(CriticalPath path);
+constexpr auto enum_names(CriticalPath) {
+  return util::enum_table<CriticalPath>("critical path", "queue_bound", "data_bound",
+                                        "compute_bound");
+}
 
 /// One input fetch as seen by one job. Jobs that piggyback on an in-flight
 /// fetch of the same dataset get their own span (starting when they joined)
@@ -105,9 +108,6 @@ class SpanBuilder final : public GridObserver {
 
   /// Per-job records, indexed by job id - 1 (job ids are dense from 1).
   [[nodiscard]] const std::vector<JobSpans>& jobs() const { return jobs_; }
-
-  /// Lookup by id; nullptr when the job was never seen.
-  [[nodiscard]] const JobSpans* find_job(site::JobId id) const;
 
   /// All transfers in start order.
   [[nodiscard]] const std::vector<TransferSpan>& transfers() const { return transfers_; }

@@ -84,39 +84,18 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
                                   TransferPurpose purpose, CompletionFn on_complete) {
   CHICSIM_ASSERT_MSG(size_mb >= 0.0, "negative transfer size");
   CHICSIM_ASSERT_MSG(static_cast<bool>(on_complete), "transfer needs a completion callback");
+  CHICSIM_ASSERT_MSG(src != dst, "transfer between co-located endpoints");
   TransferId id = next_id_++;
   ++stats_.transfers_started;
 
-  if (src == dst) {
-    // Local access: all processors at a site reach all storage at that site
-    // (§3), so no network time elapses — but completion still goes through
-    // the calendar to keep callback ordering uniform.
-    ++stats_.local_transfers;
-    Flow flow;
-    flow.src = src;
-    flow.dst = dst;
-    flow.size_mb = size_mb;
-    flow.remaining_mb = 0.0;
-    flow.purpose = purpose;
-    flow.on_complete = std::move(on_complete);
-    flow.path = nullptr;
-    flow.completion_event =
-        engine_.schedule_in(0.0, "transfer_completion", [this, id] { on_completion_event(id); });
-    CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the vector sorted
-    flows_.emplace_back(id, std::move(flow));
-    return id;
-  }
-
   settle();
   Flow flow;
-  flow.src = src;
-  flow.dst = dst;
   flow.size_mb = size_mb;
   flow.remaining_mb = size_mb;
   flow.purpose = purpose;
   flow.on_complete = std::move(on_complete);
   flow.path = &routing_.path(src, dst);
-  CHICSIM_ASSERT_MSG(!flow.path->empty(), "remote transfer with empty path");
+  CHICSIM_ASSERT_MSG(!flow.path->empty(), "transfer with empty path");
   for (LinkId l : *flow.path) add_flow_to_link(l);
   CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the vector sorted
   flows_.emplace_back(id, std::move(flow));
@@ -145,11 +124,9 @@ void TransferManager::abort(TransferId id) {
   settle();
   Flow flow = std::move(it->second);
   flows_.erase(it);
-  if (flow.completion_event != sim::kNoEvent) (void)engine_.cancel(flow.completion_event);
-  if (flow.path != nullptr) {
-    for (LinkId l : *flow.path) remove_flow_from_link(l);
-    reallocate();
-  }
+  (void)engine_.cancel(flow.completion_event);
+  for (LinkId l : *flow.path) remove_flow_from_link(l);
+  reallocate();
   ++stats_.transfers_aborted;
 }
 
@@ -183,7 +160,6 @@ void TransferManager::settle() {
   CHICSIM_ASSERT_MSG(dt >= 0.0, "settle backwards in time");
   if (dt > 0.0) {
     for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;  // local, already complete
       double delta = std::min(f.remaining_mb, f.rate * dt);
       f.remaining_mb -= delta;
       stats_.delivered_mb_hops += delta * static_cast<double>(f.path->size());
@@ -202,19 +178,13 @@ void TransferManager::reallocate() {
     // slack to every other), so all rates are recomputed regardless of
     // mode; the calendar still only sees flows whose rate moved.
     old_rate_scratch_.clear();
-    for (auto& [id, f] : flows_) {
-      if (f.path != nullptr) old_rate_scratch_.push_back(f.rate);
-    }
+    for (auto& [id, f] : flows_) old_rate_scratch_.push_back(f.rate);
     compute_rates_max_min();
     std::size_t i = 0;
-    for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;
-      update_completion_event(id, f, old_rate_scratch_[i++], now);
-    }
+    for (auto& [id, f] : flows_) update_completion_event(id, f, old_rate_scratch_[i++], now);
   } else {
     const bool incremental = mode_ == ReallocationMode::Incremental;
     for (auto& [id, f] : flows_) {
-      if (f.path == nullptr) continue;
       if (incremental && f.completion_event != sim::kNoEvent && !crosses_dirty_link(f)) {
         // No link on this flow's path changed count or capacity, and the
         // rate is a pure function of those: it is bit-identical, skip.
@@ -269,7 +239,6 @@ void TransferManager::compute_rates_max_min() {
   std::vector<Flow*> unfrozen;
   unfrozen.reserve(flows_.size());
   for (auto& [id, f] : flows_) {
-    if (f.path == nullptr) continue;
     f.rate = 0.0;
     unfrozen.push_back(&f);
   }
@@ -313,12 +282,10 @@ void TransferManager::on_completion_event(TransferId id) {
   auto it = find_flow(id);
   CHICSIM_ASSERT_MSG(it != flows_.end(), "completion event for unknown transfer");
   it->second.completion_event = sim::kNoEvent;
-  if (it->second.path != nullptr) {
-    settle();
-    CHICSIM_ASSERT_MSG(it->second.remaining_mb <= kResidualTolMb,
-                       "completion event fired before delivery finished");
-    it->second.remaining_mb = 0.0;
-  }
+  settle();
+  CHICSIM_ASSERT_MSG(it->second.remaining_mb <= kResidualTolMb,
+                     "completion event fired before delivery finished");
+  it->second.remaining_mb = 0.0;
   finish(id);
 }
 
@@ -327,11 +294,9 @@ void TransferManager::finish(TransferId id) {
   CHICSIM_ASSERT(it != flows_.end());
   Flow flow = std::move(it->second);
   flows_.erase(it);
-  if (flow.path != nullptr) {
-    for (LinkId l : *flow.path) remove_flow_from_link(l);
-    stats_.delivered_mb[static_cast<std::size_t>(flow.purpose)] += flow.size_mb;
-    reallocate();
-  }
+  for (LinkId l : *flow.path) remove_flow_from_link(l);
+  stats_.delivered_mb[static_cast<std::size_t>(flow.purpose)] += flow.size_mb;
+  reallocate();
   ++stats_.transfers_completed;
   // Invoke last: the callback may start new transfers or run schedulers.
   flow.on_complete(id);

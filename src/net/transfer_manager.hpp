@@ -21,10 +21,10 @@
 //  * MaxMin: progressive filling to the max-min fair allocation — an
 //    ablation showing the results are insensitive to the sharing model.
 //
-// Transfers between co-located endpoints (src == dst) complete after zero
-// virtual time (all processors at a site access all storage at that site,
-// §3), but still go through the event calendar so completion callbacks are
-// never re-entrant.
+// Every transfer crosses at least one link: start() rejects co-located
+// endpoints. A job whose input already sits at its execution site reads it
+// from local storage (all processors at a site access all storage at that
+// site, §3) without asking the network — see FetchPlanner::request_input.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,6 @@ struct TransferStats {
   std::uint64_t transfers_started = 0;
   std::uint64_t transfers_completed = 0;
   std::uint64_t transfers_aborted = 0;
-  std::uint64_t local_transfers = 0;
 
   // Reallocation hot-path counters (see ReallocationMode).
   std::uint64_t reallocations = 0;            ///< reallocate() invocations
@@ -124,8 +123,9 @@ class TransferManager {
   TransferManager(const TransferManager&) = delete;
   TransferManager& operator=(const TransferManager&) = delete;
 
-  /// Begin moving `size_mb` megabytes from `src` to `dst`. `on_complete`
-  /// fires through the event calendar when the last byte arrives.
+  /// Begin moving `size_mb` megabytes from `src` to `dst` (which must
+  /// differ). `on_complete` fires through the event calendar when the last
+  /// byte arrives.
   TransferId start(NodeId src, NodeId dst, util::Megabytes size_mb, TransferPurpose purpose,
                    CompletionFn on_complete);
 
@@ -169,19 +169,16 @@ class TransferManager {
 
   [[nodiscard]] const TransferStats& stats() const { return stats_; }
   [[nodiscard]] SharePolicy policy() const { return policy_; }
-  [[nodiscard]] ReallocationMode reallocation_mode() const { return mode_; }
 
  private:
   struct Flow {
-    NodeId src = kNoNode;
-    NodeId dst = kNoNode;
     util::Megabytes size_mb = 0.0;
     util::Megabytes remaining_mb = 0.0;
     util::MbPerSec rate = 0.0;
     TransferPurpose purpose = TransferPurpose::Other;
     CompletionFn on_complete;
     sim::EventId completion_event = sim::kNoEvent;
-    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache
+    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache; never empty
   };
 
   /// Advance every flow's remaining bytes to the current time at the old

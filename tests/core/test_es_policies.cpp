@@ -232,7 +232,7 @@ TEST(JobDataPresent, ScoresOnlyHoldersWhenExact) {
   util::Rng rng(12);
   JobDataPresentEs es;
   EXPECT_EQ(es.select_site(make_job(1, 0, {1}), view, rng), 150u);
-  EXPECT_EQ(view.site_probes_, 4u);  // alive, has_dataset, two load reads
+  EXPECT_EQ(view.site_probes_, 3u);  // alive, has_dataset, one load read
 
   // A zero-size input makes non-holders tie with holders: full scan.
   view.sizes_[1] = 0.0;

@@ -177,9 +177,11 @@ TEST(Events, EveryEventTypeHasAName) {
   for (std::size_t i = 0; i < kNumGridEventTypes; ++i) {
     auto type = static_cast<GridEventType>(i);
     EXPECT_STRNE(to_string(type), "?") << i;
+    EXPECT_EQ(from_string<GridEventType>(to_string(type)), type) << i;
   }
   EXPECT_STREQ(to_string(GridEventType::FetchStarted), "fetch_started");
   EXPECT_STREQ(to_string(GridEventType::ReplicaEvicted), "replica_evicted");
+  EXPECT_STREQ(to_string(GridEventType::LinkDegraded), "link_degraded");
 }
 
 TEST(Events, NullObserverRejected) {

@@ -228,6 +228,62 @@ TEST(Faults, FlakyTransfersRetryUntilDelivery) {
   audit_grid(grid);
 }
 
+TEST(Faults, ScriptedAbortFetchFailsTheTransferAndRetries) {
+  SimulationConfig cfg = small_config();
+
+  // First run, no faults: find a fetch that is on the wire for a while.
+  EventRecorder recorder;
+  {
+    Grid grid(cfg);
+    grid.add_observer(&recorder);
+    grid.run();
+  }
+  const auto completions = recorder.of_type(GridEventType::FetchCompleted);
+  GridEvent target;
+  util::SimTime done_at = -1.0;
+  for (const GridEvent& start : recorder.of_type(GridEventType::FetchStarted)) {
+    auto done = std::find_if(completions.begin(), completions.end(), [&](const GridEvent& c) {
+      return c.dataset == start.dataset && c.site_b == start.site_b && c.time > start.time;
+    });
+    if (done != completions.end()) {
+      target = start;
+      done_at = done->time;
+      break;
+    }
+  }
+  ASSERT_GT(done_at, target.time);
+
+  // Second, identical run: abort that transfer halfway through. The runs
+  // agree up to the abort, so the fetch is still in flight when it fires.
+  Grid grid(cfg);
+  grid.add_fault_plan(
+      FaultPlan{}.abort_fetch((target.time + done_at) / 2.0, target.site_b, target.dataset));
+  grid.run();
+  EXPECT_EQ(grid.fault_stats().forced_aborts, 1u);
+  EXPECT_GE(grid.metrics().transfer_retries, 1u);
+  EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
+  audit_grid(grid);
+}
+
+TEST(Faults, RestoreLinkUndoesDegradeLink) {
+  SimulationConfig cfg = small_config();
+  EventRecorder recorder;
+  Grid grid(cfg);
+  grid.add_observer(&recorder);
+  grid.add_fault_plan(FaultPlan{}.degrade_link(100.0, 0, 0.25).restore_link(500.0, 0));
+  grid.run();
+  EXPECT_EQ(grid.metrics().jobs_completed, cfg.total_jobs);
+  EXPECT_EQ(grid.transfers().bandwidth_scale(0), 1.0);
+  EXPECT_EQ(grid.fault_stats().link_degradations, 2u);
+  auto changes = recorder.of_type(GridEventType::LinkDegraded);
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_EQ(changes[0].time, 100.0);
+  EXPECT_EQ(changes[0].mb, 0.25);
+  EXPECT_EQ(changes[1].time, 500.0);
+  EXPECT_EQ(changes[1].mb, 1.0);
+  audit_grid(grid);
+}
+
 TEST(Faults, CatalogCorruptionIsDiscoveredAndReconciled) {
   SimulationConfig cfg = small_config();
   cfg.ds = DsAlgorithm::DataFastSpread;  // plenty of unpinned cached copies

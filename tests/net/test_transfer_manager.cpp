@@ -36,18 +36,14 @@ TEST(TransferManager, SingleTransferTakesSizeOverBandwidth) {
   EXPECT_NEAR(done_at, 100.0, 1e-6);
 }
 
-TEST(TransferManager, LocalTransferIsInstantButAsync) {
+TEST(TransferManager, CoLocatedEndpointsAreRejected) {
+  // A local input never touches the network (the fetch planner reads it
+  // from storage), so a transfer to its own source is a caller bug.
   World w = star_world(2, 10.0);
-  bool done = false;
-  TransferId id =
-      w.tm.start(1, 1, 500.0, TransferPurpose::JobFetch, [&](TransferId) { done = true; });
-  EXPECT_TRUE(w.tm.active(id));
-  EXPECT_FALSE(done);  // completion goes through the calendar
-  w.engine.run();
-  EXPECT_TRUE(done);
-  EXPECT_DOUBLE_EQ(w.engine.now(), 0.0);
-  EXPECT_EQ(w.tm.stats().local_transfers, 1u);
-  EXPECT_DOUBLE_EQ(w.tm.stats().total_delivered_mb(), 0.0);
+  EXPECT_THROW((void)w.tm.start(1, 1, 500.0, TransferPurpose::JobFetch, [](TransferId) {}),
+               util::SimError);
+  EXPECT_EQ(w.tm.active_count(), 0u);
+  EXPECT_EQ(w.tm.stats().transfers_started, 0u);
 }
 
 TEST(TransferManager, TwoFlowsOnSharedLinkHalveBandwidth) {
