@@ -7,14 +7,16 @@
 #
 # The default output path is BENCH_engine.json at the repo root. The report
 # contains, per mode: wall time, events/sec, flows/sec, calendar push/cancel
-# counts and peak pending events — plus calendar_work_ratio (flows walked by
-# Incremental / calendar pushes it made) and a "profile" section with the
+# counts, peak pending events and flows visited per reallocation — plus
+# calendar_work_ratio (flows a reschedule-everything walk would touch /
+# calendar pushes Incremental made) and a "profile" section with the
 # per-event-type wall-clock handler-time breakdown of one profiled full
 # Table-1 simulation (see docs/observability.md) and an "es_scan" section
 # with the GridView queries per JobDataPresent decision at 30 and at 1000
-# sites. Exits non-zero if the work ratio falls below 2 or the 1000-site
-# queries per decision exceed twice the 30-site value; both are counts, so
-# the exit status is deterministic.
+# sites. Exits non-zero if the work ratio falls below 2, if either mode's
+# peak pending events is not exactly 1 (the TransferManager's one calendar
+# entry), or if the 1000-site queries per decision exceed twice the 30-site
+# value; all are counts, so the exit status is deterministic.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

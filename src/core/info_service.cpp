@@ -130,9 +130,9 @@ std::size_t InfoService::path_congestion(data::SiteIndex a, data::SiteIndex b) c
   ++view_queries_;
   if (a == b) return 0;
   std::size_t worst = 0;
-  for (net::LinkId l : routing_.path(a, b)) {
+  routing_.for_each_link(a, b, [&](net::LinkId l) {
     worst = std::max(worst, transfers_.flows_on_link(l));
-  }
+  });
   return worst;
 }
 
@@ -140,9 +140,8 @@ util::MbPerSec InfoService::path_bandwidth_mbps(data::SiteIndex a, data::SiteInd
   ++view_queries_;
   if (a == b) return util::kTimeInfinity;
   util::MbPerSec bw = util::kTimeInfinity;
-  for (net::LinkId l : routing_.path(a, b)) {
-    bw = std::min(bw, topology_.link(l).bandwidth_mbps);
-  }
+  routing_.for_each_link(
+      a, b, [&](net::LinkId l) { bw = std::min(bw, topology_.link(l).bandwidth_mbps); });
   return bw;
 }
 

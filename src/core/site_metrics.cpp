@@ -27,11 +27,10 @@ const std::string& SiteMetricsObserver::site_dim(data::SiteIndex site) {
 void SiteMetricsObserver::count_link_traffic(data::SiteIndex src, data::SiteIndex dst,
                                              util::Megabytes mb) {
   if (routing_ == nullptr || src == dst) return;
-  for (net::LinkId l : routing_->path(src, dst)) {
+  routing_->for_each_link(src, dst, [&](net::LinkId l) {
     registry_.counter("link_transfers", link_dims_[l]).add();
-    registry_.counter("link_mb_started", link_dims_[l])
-        .add(static_cast<std::uint64_t>(mb));
-  }
+    registry_.counter("link_mb_started", link_dims_[l]).add(static_cast<std::uint64_t>(mb));
+  });
 }
 
 void SiteMetricsObserver::on_event(const GridEvent& e) {

@@ -1,74 +1,55 @@
 #include "net/routing.hpp"
 
-#include <queue>
-
 #include "util/error.hpp"
 
 namespace chicsim::net {
 
 namespace {
 constexpr LinkId kNoLink = static_cast<LinkId>(-1);
-}
+constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
+}  // namespace
 
 Routing::Routing(const Topology& topo) : topo_(topo), n_(topo.node_count()) {
   CHICSIM_ASSERT_MSG(topo.connected(), "routing requires a connected topology");
   next_link_.assign(n_ * n_, kNoLink);
-  hop_count_.assign(n_ * n_, 0);
-  paths_.resize(n_ * n_);
-  path_built_.assign(n_ * n_, false);
+  hop_count_.assign(n_ * n_, kUnreached);
 
   // One BFS per destination: record, for every source, the first link on a
   // shortest path toward that destination. BFS from the destination and
   // point each discovered node back toward where it was discovered from.
-  std::vector<std::uint32_t> dist(n_);
-  std::vector<LinkId> toward(n_);
+  // Both tables are destination-major, so each BFS fills one contiguous row.
+  std::vector<NodeId> frontier;
+  frontier.reserve(n_);
   for (NodeId dst = 0; dst < n_; ++dst) {
-    std::fill(dist.begin(), dist.end(), static_cast<std::uint32_t>(-1));
-    std::fill(toward.begin(), toward.end(), kNoLink);
-    std::queue<NodeId> frontier;
+    LinkId* toward = next_link_.data() + static_cast<std::size_t>(dst) * n_;
+    std::uint32_t* dist = hop_count_.data() + static_cast<std::size_t>(dst) * n_;
+    frontier.assign(1, dst);
     dist[dst] = 0;
-    frontier.push(dst);
-    while (!frontier.empty()) {
-      NodeId u = frontier.front();
-      frontier.pop();
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId u = frontier[head];
       for (LinkId l : topo.links_of(u)) {
-        NodeId v = topo.neighbor_via(l, u);
-        if (dist[v] == static_cast<std::uint32_t>(-1)) {
+        const NodeId v = topo.neighbor_via(l, u);
+        if (dist[v] == kUnreached) {
           dist[v] = dist[u] + 1;
           toward[v] = l;  // from v, go over l to u (closer to dst)
-          frontier.push(v);
+          frontier.push_back(v);
         }
       }
     }
-    for (NodeId src = 0; src < n_; ++src) {
-      CHICSIM_ASSERT(dist[src] != static_cast<std::uint32_t>(-1));
-      next_link_[index(src, dst)] = toward[src];
-      hop_count_[index(src, dst)] = dist[src];
-    }
+    CHICSIM_ASSERT(frontier.size() == n_);
   }
 }
 
 std::size_t Routing::index(NodeId src, NodeId dst) const {
   CHICSIM_ASSERT_MSG(src < n_ && dst < n_, "routing endpoint out of range");
-  return static_cast<std::size_t>(src) * n_ + dst;
+  return static_cast<std::size_t>(dst) * n_ + src;
 }
 
-const std::vector<LinkId>& Routing::path(NodeId src, NodeId dst) const {
-  std::size_t idx = index(src, dst);
-  if (!path_built_[idx]) {
-    std::vector<LinkId> p;
-    NodeId cur = src;
-    while (cur != dst) {
-      LinkId l = next_link_[index(cur, dst)];
-      CHICSIM_ASSERT(l != kNoLink);
-      p.push_back(l);
-      cur = topo_.neighbor_via(l, cur);
-      CHICSIM_ASSERT_MSG(p.size() <= n_, "routing loop detected");
-    }
-    paths_[idx] = std::move(p);
-    path_built_[idx] = true;
-  }
-  return paths_[idx];
+std::vector<LinkId> Routing::path(NodeId src, NodeId dst) const {
+  std::vector<LinkId> p;
+  p.reserve(hops(src, dst));
+  for_each_link(src, dst, [&p](LinkId l) { p.push_back(l); });
+  return p;
 }
 
 std::size_t Routing::hops(NodeId src, NodeId dst) const { return hop_count_[index(src, dst)]; }

@@ -4,15 +4,10 @@
 #include <cmath>
 #include <utility>
 
+#include "sim/indexed_heap.hpp"
 #include "util/error.hpp"
 
 namespace chicsim::net {
-
-namespace {
-/// Residual bytes below this are considered delivered (floating-point slack
-/// accumulated across settle steps; 1 KB on multi-hundred-MB files).
-constexpr util::Megabytes kResidualTolMb = 1e-3;
-}  // namespace
 
 TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
                                  const Routing& routing, SharePolicy policy,
@@ -21,7 +16,8 @@ TransferManager::TransferManager(sim::Engine& engine, const Topology& topo,
       topo_(topo),
       routing_(routing),
       policy_(policy),
-      link_flow_count_(topo.link_count(), 0),
+      link_flows_(topo.link_count()),
+      link_share_(topo.link_count(), 0.0),
       link_busy_time_(topo.link_count(), 0.0),
       busy_pos_(topo.link_count(), 0),
       link_scale_(topo.link_count(), 1.0),
@@ -35,31 +31,39 @@ void TransferManager::mark_link_dirty(LinkId link) {
   dirty_links_.push_back(link);
 }
 
-void TransferManager::add_flow_to_link(LinkId link) {
-  if (link_flow_count_[link]++ == 0) {
-    busy_pos_[link] = busy_links_.size();
-    busy_links_.push_back(link);
+void TransferManager::attach(Slot slot) {
+  Flow& f = flows_[slot];
+  for (std::uint32_t hop = 0; hop < f.path.size(); ++hop) {
+    const LinkId l = f.path[hop].link;
+    std::vector<LinkFlow>& on_link = link_flows_[l];
+    if (on_link.empty()) {
+      busy_pos_[l] = busy_links_.size();
+      busy_links_.push_back(l);
+    }
+    f.path[hop].pos = static_cast<std::uint32_t>(on_link.size());
+    on_link.push_back(LinkFlow{slot, hop});
+    mark_link_dirty(l);
   }
-  mark_link_dirty(link);
 }
 
-void TransferManager::remove_flow_from_link(LinkId link) {
-  CHICSIM_ASSERT(link_flow_count_[link] > 0);
-  if (--link_flow_count_[link] == 0) {
-    std::size_t pos = busy_pos_[link];
-    LinkId moved = busy_links_.back();
-    busy_links_[pos] = moved;
-    busy_pos_[moved] = pos;
-    busy_links_.pop_back();
+void TransferManager::detach(Slot slot) {
+  Flow& f = flows_[slot];
+  for (const Hop& hop : f.path) {
+    const LinkId l = hop.link;
+    std::vector<LinkFlow>& on_link = link_flows_[l];
+    const LinkFlow moved = on_link.back();
+    on_link[hop.pos] = moved;
+    flows_[moved.slot].path[moved.hop].pos = hop.pos;
+    on_link.pop_back();
+    if (on_link.empty()) {
+      const std::size_t pos = busy_pos_[l];
+      const LinkId last = busy_links_.back();
+      busy_links_[pos] = last;
+      busy_pos_[last] = pos;
+      busy_links_.pop_back();
+    }
+    mark_link_dirty(l);
   }
-  mark_link_dirty(link);
-}
-
-bool TransferManager::crosses_dirty_link(const Flow& f) const {
-  for (LinkId l : *f.path) {
-    if (link_dirty_[l]) return true;
-  }
-  return false;
 }
 
 double TransferManager::capacity(LinkId link) const {
@@ -85,68 +89,85 @@ TransferId TransferManager::start(NodeId src, NodeId dst, util::Megabytes size_m
   CHICSIM_ASSERT_MSG(size_mb >= 0.0, "negative transfer size");
   CHICSIM_ASSERT_MSG(static_cast<bool>(on_complete), "transfer needs a completion callback");
   CHICSIM_ASSERT_MSG(src != dst, "transfer between co-located endpoints");
+  CHICSIM_ASSERT_MSG(src < topo_.node_count() && dst < topo_.node_count(),
+                     "transfer endpoint out of range");
   TransferId id = next_id_++;
   ++stats_.transfers_started;
 
   settle();
-  Flow flow;
-  flow.size_mb = size_mb;
-  flow.remaining_mb = size_mb;
-  flow.purpose = purpose;
-  flow.on_complete = std::move(on_complete);
-  flow.path = &routing_.path(src, dst);
-  CHICSIM_ASSERT_MSG(!flow.path->empty(), "transfer with empty path");
-  for (LinkId l : *flow.path) add_flow_to_link(l);
-  CHICSIM_ASSERT(flows_.empty() || flows_.back().first < id);  // keeps the vector sorted
-  flows_.emplace_back(id, std::move(flow));
+  Slot slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(flows_.size());
+    flows_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Flow& f = flows_[slot];
+  f.remaining_mb = size_mb;
+  f.rate = 0.0;
+  f.path.clear();  // a recycled slot keeps its capacity
+  routing_.for_each_link(src, dst, [&f](LinkId l) { f.path.push_back(Hop{l, 0}); });
+  CHICSIM_ASSERT_MSG(!f.path.empty(), "transfer with empty path");
+  f.id = id;
+  f.size_mb = size_mb;
+  f.batch = 0;
+  f.purpose = purpose;
+  f.on_complete = std::move(on_complete);
+  attach(slot);
+  CHICSIM_ASSERT(order_.empty() || flows_[order_.back()].id < id);  // keeps order_ sorted
+  order_.push_back(slot);
   reallocate();
   return id;
 }
 
-TransferManager::FlowVec::iterator TransferManager::find_flow(TransferId id) {
-  auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
-                             [](const auto& entry, TransferId key) { return entry.first < key; });
-  return it != flows_.end() && it->first == id ? it : flows_.end();
+std::vector<TransferManager::Slot>::const_iterator TransferManager::find_order(
+    TransferId id) const {
+  auto it = std::lower_bound(order_.begin(), order_.end(), id,
+                             [this](Slot s, TransferId key) { return flows_[s].id < key; });
+  return it != order_.end() && flows_[*it].id == id ? it : order_.end();
 }
 
-TransferManager::FlowVec::const_iterator TransferManager::find_flow(TransferId id) const {
-  auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
-                             [](const auto& entry, TransferId key) { return entry.first < key; });
-  return it != flows_.end() && it->first == id ? it : flows_.end();
+TransferManager::Slot TransferManager::slot_of(TransferId id, const char* what) const {
+  auto it = find_order(id);
+  CHICSIM_ASSERT_MSG(it != order_.end(), what);
+  return *it;
 }
 
-bool TransferManager::active(TransferId id) const { return find_flow(id) != flows_.end(); }
+bool TransferManager::active(TransferId id) const { return find_order(id) != order_.end(); }
+
+void TransferManager::release(Slot slot) {
+  Flow& f = flows_[slot];
+  detach(slot);
+  order_.erase(find_order(f.id));
+  if (f.batch != 0) sim::indexed_heap::erase(completions_, f.heap_pos, before, place_fn());
+  f.id = kNoTransfer;
+  f.on_complete = nullptr;
+  free_slots_.push_back(slot);
+}
 
 void TransferManager::abort(TransferId id) {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT_MSG(it != flows_.end(), "abort of unknown transfer");
+  const Slot slot = slot_of(id, "abort of unknown transfer");
   // Bytes moved so far stay in the mb-hop accounting.
   settle();
-  Flow flow = std::move(it->second);
-  flows_.erase(it);
-  (void)engine_.cancel(flow.completion_event);
-  for (LinkId l : *flow.path) remove_flow_from_link(l);
+  release(slot);
   reallocate();
   ++stats_.transfers_aborted;
 }
 
 util::MbPerSec TransferManager::current_rate(TransferId id) const {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT_MSG(it != flows_.end(), "current_rate of unknown transfer");
-  return it->second.rate;
+  return flows_[slot_of(id, "current_rate of unknown transfer")].rate;
 }
 
 util::Megabytes TransferManager::remaining_mb(TransferId id) const {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT_MSG(it != flows_.end(), "remaining_mb of unknown transfer");
-  const Flow& f = it->second;
+  const Flow& f = flows_[slot_of(id, "remaining_mb of unknown transfer")];
   double dt = engine_.now() - last_settle_;
   return std::max(0.0, f.remaining_mb - f.rate * dt);
 }
 
 std::size_t TransferManager::flows_on_link(LinkId link) const {
-  CHICSIM_ASSERT_MSG(link < link_flow_count_.size(), "link id out of range");
-  return link_flow_count_[link];
+  CHICSIM_ASSERT_MSG(link < link_flows_.size(), "link id out of range");
+  return link_flows_[link].size();
 }
 
 util::SimTime TransferManager::link_busy_time(LinkId link) const {
@@ -159,10 +180,11 @@ void TransferManager::settle() {
   double dt = now - last_settle_;
   CHICSIM_ASSERT_MSG(dt >= 0.0, "settle backwards in time");
   if (dt > 0.0) {
-    for (auto& [id, f] : flows_) {
+    for (Slot s : order_) {
+      Flow& f = flows_[s];
       double delta = std::min(f.remaining_mb, f.rate * dt);
       f.remaining_mb -= delta;
-      stats_.delivered_mb_hops += delta * static_cast<double>(f.path->size());
+      stats_.delivered_mb_hops += delta * static_cast<double>(f.path.size());
     }
     for (LinkId l : busy_links_) link_busy_time_[l] += dt;
   }
@@ -172,79 +194,111 @@ void TransferManager::settle() {
 void TransferManager::reallocate() {
   ++stats_.reallocations;
   const util::SimTime now = engine_.now();
+  sim::EventSeq batch = 0;
+  auto visit = [&](Slot s) {
+    Flow& f = flows_[s];
+    const double old_rate = f.rate;
+    f.rate = policy_ == SharePolicy::MaxMin ? maxmin_rate_[s] : path_rate(f);
+    update_completion(s, old_rate, now, batch);
+  };
 
   if (policy_ == SharePolicy::MaxMin) {
     // Progressive filling is inherently global (freezing one flow shifts
-    // slack to every other), so all rates are recomputed regardless of
-    // mode; the calendar still only sees flows whose rate moved.
-    old_rate_scratch_.clear();
-    for (auto& [id, f] : flows_) old_rate_scratch_.push_back(f.rate);
+    // slack to every other), so every flow is visited regardless of mode;
+    // only completions whose rate moved are re-planned.
     compute_rates_max_min();
-    std::size_t i = 0;
-    for (auto& [id, f] : flows_) update_completion_event(id, f, old_rate_scratch_[i++], now);
+    for (Slot s : order_) visit(s);
+  } else if (mode_ == ReallocationMode::Full) {
+    refresh_shares();
+    for (Slot s : order_) visit(s);
   } else {
-    const bool incremental = mode_ == ReallocationMode::Incremental;
-    for (auto& [id, f] : flows_) {
-      if (incremental && f.completion_event != sim::kNoEvent && !crosses_dirty_link(f)) {
-        // No link on this flow's path changed count or capacity, and the
-        // rate is a pure function of those: it is bit-identical, skip.
-        ++stats_.rate_recomputes_skipped;
-        continue;
+    // Only flows on a dirty link can change rate: the rate is a pure
+    // function of the shares on the flow's own path.
+    refresh_shares();
+    ++visit_epoch_;
+    std::size_t visited = 0;
+    for (LinkId l : dirty_links_) {
+      for (const LinkFlow& lf : link_flows_[l]) {
+        Flow& f = flows_[lf.slot];
+        if (f.visit_epoch == visit_epoch_) continue;
+        f.visit_epoch = visit_epoch_;
+        ++visited;
+        visit(lf.slot);
       }
-      double old_rate = f.rate;
-      f.rate = path_rate(f);
-      update_completion_event(id, f, old_rate, now);
     }
+    stats_.rate_recomputes_skipped += order_.size() - visited;
   }
 
   for (LinkId l : dirty_links_) link_dirty_[l] = 0;
   dirty_links_.clear();
+  sync_calendar();
 }
 
-void TransferManager::update_completion_event(TransferId id, Flow& f, double old_rate,
-                                              util::SimTime now) {
-  CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
-  if (f.completion_event != sim::kNoEvent && f.rate == old_rate) {
-    // The scheduled finish time was derived from this very rate: keep it.
-    ++stats_.reschedules_skipped;
-    return;
+void TransferManager::refresh_shares() {
+  for (LinkId l : dirty_links_) {
+    const std::size_t n = link_flows_[l].size();
+    if (n == 0) continue;  // no flow reads it until one arrives and re-dirties it
+    link_share_[l] =
+        policy_ == SharePolicy::NoContention ? capacity(l) : capacity(l) / static_cast<double>(n);
   }
-  if (f.completion_event != sim::kNoEvent) {
-    (void)engine_.cancel(f.completion_event);
-    f.completion_event = sim::kNoEvent;
-  }
-  util::SimTime eta = f.remaining_mb <= kResidualTolMb ? 0.0 : f.remaining_mb / f.rate;
-  TransferId fid = id;
-  f.completion_event = engine_.schedule_at(now + eta, "transfer_completion",
-                                           [this, fid] { on_completion_event(fid); });
-  ++stats_.flows_rescheduled;
 }
 
 double TransferManager::path_rate(const Flow& f) const {
   double rate = util::kTimeInfinity;
-  if (policy_ == SharePolicy::NoContention) {
-    for (LinkId l : *f.path) rate = std::min(rate, capacity(l));
-  } else {
-    for (LinkId l : *f.path) {
-      CHICSIM_ASSERT(link_flow_count_[l] > 0);
-      rate = std::min(rate, capacity(l) / static_cast<double>(link_flow_count_[l]));
-    }
-  }
+  for (const Hop& hop : f.path) rate = std::min(rate, link_share_[hop.link]);
   return rate;
+}
+
+void TransferManager::update_completion(Slot slot, double old_rate, util::SimTime now,
+                                        sim::EventSeq& batch) {
+  Flow& f = flows_[slot];
+  CHICSIM_ASSERT_MSG(f.rate > 0.0, "active flow allocated zero rate");
+  if (f.batch != 0 && f.rate == old_rate) {
+    // The projected finish time was derived from this very rate: keep it.
+    ++stats_.reschedules_skipped;
+    return;
+  }
+  const util::SimTime eta = f.remaining_mb <= kResidualTolMb ? 0.0 : f.remaining_mb / f.rate;
+  // Take the sequence number a calendar push made here would take, so every
+  // other event keeps its own.
+  const sim::EventSeq seq = engine_.reserve_sequence();
+  if (batch == 0) batch = seq;
+  const bool queued = f.batch != 0;
+  f.batch = batch;
+  const Completion c{now + eta, batch, f.id, slot};
+  if (queued) {
+    completions_[f.heap_pos] = c;
+    sim::indexed_heap::fix(completions_, f.heap_pos, before, place_fn());
+  } else {
+    sim::indexed_heap::push(completions_, c, before, place_fn());
+  }
+  ++stats_.flows_rescheduled;
+}
+
+void TransferManager::sync_calendar() {
+  const Completion none{0.0, 0, kNoTransfer, 0};
+  const Completion& head = completions_.empty() ? none : completions_.front();
+  if (head.batch == calendar_batch_ && head.id == calendar_id_) return;
+  if (calendar_event_ != sim::kNoEvent) (void)engine_.cancel(calendar_event_);
+  calendar_event_ = sim::kNoEvent;
+  calendar_batch_ = head.batch;
+  calendar_id_ = head.id;
+  if (head.id == kNoTransfer) return;
+  calendar_event_ = engine_.schedule_reserved(head.time, head.batch, "transfer_completion",
+                                              [this] { on_calendar_event(); });
 }
 
 void TransferManager::compute_rates_max_min() {
   // Progressive filling: raise all unfrozen flow rates uniformly; when a
   // link saturates, freeze the flows crossing it; repeat.
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& [id, f] : flows_) {
-    f.rate = 0.0;
-    unfrozen.push_back(&f);
-  }
+  maxmin_rate_.assign(flows_.size(), 0.0);
+  std::vector<Slot> unfrozen(order_);
   std::vector<double> cap_rem(topo_.link_count());
-  for (LinkId l = 0; l < topo_.link_count(); ++l) cap_rem[l] = capacity(l);
-  std::vector<std::size_t> count(link_flow_count_);  // unfrozen flows per link
+  std::vector<std::size_t> count(topo_.link_count());  // unfrozen flows per link
+  for (LinkId l = 0; l < topo_.link_count(); ++l) {
+    cap_rem[l] = capacity(l);
+    count[l] = link_flows_[l].size();
+  }
 
   while (!unfrozen.empty()) {
     double inc = util::kTimeInfinity;
@@ -252,25 +306,22 @@ void TransferManager::compute_rates_max_min() {
       if (count[l] > 0) inc = std::min(inc, cap_rem[l] / static_cast<double>(count[l]));
     }
     CHICSIM_ASSERT_MSG(std::isfinite(inc), "max-min filling found no constraining link");
-    for (Flow* f : unfrozen) f->rate += inc;
+    for (Slot s : unfrozen) maxmin_rate_[s] += inc;
     for (LinkId l = 0; l < count.size(); ++l) {
       cap_rem[l] -= inc * static_cast<double>(count[l]);
     }
     // Freeze flows crossing any saturated link.
-    std::vector<Flow*> still;
+    std::vector<Slot> still;
     still.reserve(unfrozen.size());
-    for (Flow* f : unfrozen) {
-      bool saturated = false;
-      for (LinkId l : *f->path) {
-        if (cap_rem[l] <= 1e-12 * capacity(l) + 1e-15) {
-          saturated = true;
-          break;
-        }
-      }
+    for (Slot s : unfrozen) {
+      const std::vector<Hop>& path = flows_[s].path;
+      const bool saturated = std::any_of(path.begin(), path.end(), [&](const Hop& hop) {
+        return cap_rem[hop.link] <= 1e-12 * capacity(hop.link) + 1e-15;
+      });
       if (saturated) {
-        for (LinkId l : *f->path) --count[l];
+        for (const Hop& hop : path) --count[hop.link];
       } else {
-        still.push_back(f);
+        still.push_back(s);
       }
     }
     CHICSIM_ASSERT_MSG(still.size() < unfrozen.size(), "max-min filling did not progress");
@@ -278,28 +329,28 @@ void TransferManager::compute_rates_max_min() {
   }
 }
 
-void TransferManager::on_completion_event(TransferId id) {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT_MSG(it != flows_.end(), "completion event for unknown transfer");
-  it->second.completion_event = sim::kNoEvent;
+void TransferManager::on_calendar_event() {
+  calendar_event_ = sim::kNoEvent;
+  calendar_batch_ = 0;
+  calendar_id_ = kNoTransfer;
+  CHICSIM_ASSERT_MSG(!completions_.empty(), "completion event with no transfer in flight");
+  const Slot slot = completions_.front().slot;
   settle();
-  CHICSIM_ASSERT_MSG(it->second.remaining_mb <= kResidualTolMb,
+  CHICSIM_ASSERT_MSG(flows_[slot].remaining_mb <= kResidualTolMb,
                      "completion event fired before delivery finished");
-  it->second.remaining_mb = 0.0;
-  finish(id);
+  finish(slot);
 }
 
-void TransferManager::finish(TransferId id) {
-  auto it = find_flow(id);
-  CHICSIM_ASSERT(it != flows_.end());
-  Flow flow = std::move(it->second);
-  flows_.erase(it);
-  for (LinkId l : *flow.path) remove_flow_from_link(l);
-  stats_.delivered_mb[static_cast<std::size_t>(flow.purpose)] += flow.size_mb;
+void TransferManager::finish(Slot slot) {
+  Flow& f = flows_[slot];
+  const TransferId id = f.id;
+  stats_.delivered_mb[static_cast<std::size_t>(f.purpose)] += f.size_mb;
+  CompletionFn on_complete = std::move(f.on_complete);
+  release(slot);
   reallocate();
   ++stats_.transfers_completed;
   // Invoke last: the callback may start new transfers or run schedulers.
-  flow.on_complete(id);
+  on_complete(id);
 }
 
 }  // namespace chicsim::net

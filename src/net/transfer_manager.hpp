@@ -7,12 +7,32 @@
 //    bandwidth available for each transfer accordingly."
 //
 // We implement this as a fluid flow model.  Every active transfer f has a
-// current rate r(f); whenever the set of active transfers changes, all
-// flows are settled (remaining bytes advanced at the old rates), affected
-// rates are recomputed, and the completion events of flows whose rate
-// actually changed are rescheduled (see ReallocationMode below for the
-// incremental strategy and its exactness argument).  Two allocation
-// policies are provided:
+// current rate r(f); whenever the set of active transfers or a link's
+// capacity changes, all flows are settled (remaining bytes advanced at the
+// old rates) and the rates of the flows crossing a changed link are
+// recomputed (see ReallocationMode).  The work per change is proportional
+// to the flows on the changed links, apart from the settle walk:
+//
+//  * Flows live in a recycled slot table with an id-ordered index, so
+//    settle() sums mb-hops in creation order. Each flow keeps its own copy
+//    of its links, and each link keeps the list of flows on it.
+//  * A per-link share (capacity / flow count) is refreshed only when the
+//    link changes; a flow's rate is the minimum share along its path.
+//  * Projected completions sit in an internal indexed min-heap. Only its
+//    head is in the engine calendar, as one "transfer_completion" event.
+//
+// Equal-time order is exactly that of a calendar holding one event per flow,
+// where every re-planned flow pushed a new event, in id order, at each
+// reallocation. Each re-plan still takes the sequence number that push
+// would have taken (Engine::reserve_sequence), so every other event keeps
+// its sequence. One reallocation's re-plans take consecutive numbers
+// b, b+1, ..., in id order, and no other event can hold a number in that
+// block. So ordering completions by (finish time, b, id) is ordering them
+// by their sequences, and the head, pushed under b (schedule_reserved),
+// ties against every other event as it would under its own number. Nothing
+// has to be sorted: the reallocation visits the changed flows in any order.
+//
+// Two allocation policies are provided:
 //
 //  * EqualShare (paper-faithful): r(f) = min over links l on f's path of
 //    capacity(l) / n(l), where n(l) counts flows crossing l.  This never
@@ -49,22 +69,22 @@ enum class SharePolicy : std::uint8_t {
   NoContention,  ///< ablation: every flow gets the full bottleneck bandwidth
 };
 
-/// How reallocate() turns recomputed rates into calendar updates.
+/// Which flows reallocate() visits. A visited flow's rate is recomputed;
+/// its projected completion is only re-planned when the rate actually
+/// changed, since the finish time derived from an unchanged rate is still
+/// exact.
 ///
-/// * Full — every flow's rate is recomputed, but the completion event is
-///   only cancelled/rescheduled when the rate actually changed. A flow
-///   whose rate is unchanged keeps its event: the previously computed
-///   finish time is still exact, so the calendar stays untouched.
-/// * Incremental (default) — additionally skips the rate recomputation for
-///   flows that cross no link whose flow count or bandwidth scale changed
-///   since the last reallocation. For EqualShare and NoContention a flow's
-///   rate is a pure function of the capacities and flow counts on its own
-///   path, so such flows provably keep a bit-identical rate. MaxMin's
-///   progressive filling is global, so under MaxMin Incremental behaves
-///   exactly like Full.
+/// * Full — visits every active flow, in id order.
+/// * Incremental (default) — visits only the flows on links whose flow
+///   count or bandwidth scale changed since the last reallocation, found
+///   through the link→flow lists and visited in id order. For EqualShare
+///   and NoContention a flow's rate is a pure function of the capacities
+///   and flow counts on its own path, so every other flow provably keeps a
+///   bit-identical rate. MaxMin's progressive filling is global, so under
+///   MaxMin Incremental visits every flow, like Full.
 ///
-/// Full and Incremental produce bit-identical schedules (asserted by the
-/// A/B equivalence test over the whole paper matrix).
+/// Both modes run the same loop and produce bit-identical schedules
+/// (asserted by the A/B equivalence test over the whole paper matrix).
 enum class ReallocationMode : std::uint8_t {
   Full,
   Incremental,
@@ -76,6 +96,11 @@ constexpr auto enum_names(SharePolicy) {
 constexpr auto enum_names(ReallocationMode) {
   return util::enum_table<ReallocationMode>("reallocation mode", "Full", "Incremental");
 }
+
+/// Residual bytes below this are considered delivered (floating-point slack
+/// accumulated across settle steps; 1 KB on multi-hundred-MB files). A flow
+/// re-planned with no more than this left completes at once.
+inline constexpr util::Megabytes kResidualTolMb = 1e-3;
 
 /// Why a transfer was initiated; used to split accounting between
 /// job-driven fetches, DS-driven replication (Figure 3b counts both) and
@@ -101,9 +126,9 @@ struct TransferStats {
 
   // Reallocation hot-path counters (see ReallocationMode).
   std::uint64_t reallocations = 0;            ///< reallocate() invocations
-  std::uint64_t flows_rescheduled = 0;        ///< completion events cancel+pushed
-  std::uint64_t reschedules_skipped = 0;      ///< rate unchanged: event kept
-  std::uint64_t rate_recomputes_skipped = 0;  ///< flow crossed no dirty link
+  std::uint64_t flows_rescheduled = 0;        ///< projected completions re-planned
+  std::uint64_t reschedules_skipped = 0;      ///< rate unchanged: completion kept
+  std::uint64_t rate_recomputes_skipped = 0;  ///< active flows not visited
 
   [[nodiscard]] double total_delivered_mb() const {
     double total = 0.0;
@@ -125,7 +150,7 @@ class TransferManager {
 
   /// Begin moving `size_mb` megabytes from `src` to `dst` (which must
   /// differ). `on_complete` fires through the event calendar when the last
-  /// byte arrives.
+  /// byte arrives. The path's links are copied once, here.
   TransferId start(NodeId src, NodeId dst, util::Megabytes size_mb, TransferPurpose purpose,
                    CompletionFn on_complete);
 
@@ -140,7 +165,7 @@ class TransferManager {
   void abort(TransferId id);
 
   /// Number of in-flight transfers.
-  [[nodiscard]] std::size_t active_count() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_count() const { return order_.size(); }
 
   /// Current rate of an active transfer (MB/s).
   [[nodiscard]] util::MbPerSec current_rate(TransferId id) const;
@@ -171,70 +196,127 @@ class TransferManager {
   [[nodiscard]] SharePolicy policy() const { return policy_; }
 
  private:
+  using Slot = std::uint32_t;
+
+  /// One link of a flow's path, and the flow's index in that link's list.
+  struct Hop {
+    LinkId link;
+    std::uint32_t pos;
+  };
+
   struct Flow {
-    util::Megabytes size_mb = 0.0;
+    // settle() reads these three on every event; keep them together.
     util::Megabytes remaining_mb = 0.0;
     util::MbPerSec rate = 0.0;
+    std::vector<Hop> path;        ///< src to dst; never empty
+    TransferId id = kNoTransfer;  ///< kNoTransfer while the slot is free
+    util::Megabytes size_mb = 0.0;
+    /// First sequence reserved by the reallocation that last re-planned
+    /// this flow; 0 until the first plan.
+    sim::EventSeq batch = 0;
+    std::size_t heap_pos = 0;  ///< index in completions_ once batch != 0
+    std::uint64_t visit_epoch = 0;
     TransferPurpose purpose = TransferPurpose::Other;
     CompletionFn on_complete;
-    sim::EventId completion_event = sim::kNoEvent;
-    const std::vector<LinkId>* path = nullptr;  // owned by Routing's cache; never empty
   };
+
+  /// One flow on a link: its slot and the index of the link in its path.
+  struct LinkFlow {
+    Slot slot;
+    std::uint32_t hop;
+  };
+
+  /// A projected completion; (time, batch, id) is the calendar's order.
+  struct Completion {
+    util::SimTime time;
+    sim::EventSeq batch;
+    TransferId id;
+    Slot slot;
+  };
+  [[nodiscard]] static bool before(const Completion& a, const Completion& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.batch != b.batch ? a.batch < b.batch : a.id < b.id;
+  }
+  /// The indexed_heap callback: record where a completion now sits.
+  [[nodiscard]] auto place_fn() {
+    return [this](const Completion& c, std::size_t pos) { flows_[c.slot].heap_pos = pos; };
+  }
 
   /// Advance every flow's remaining bytes to the current time at the old
   /// rates and accumulate link-busy statistics.
   void settle();
 
-  /// Count one flow onto / off `link`, keeping busy_links_ in step with
-  /// the 0 <-> 1 transitions, and mark the link dirty.
-  void add_flow_to_link(LinkId link);
-  void remove_flow_from_link(LinkId link);
+  /// Put a flow on / take it off each link of its path, keeping
+  /// busy_links_ in step with the 0 <-> 1 transitions and marking each link
+  /// dirty.
+  void attach(Slot slot);
+  void detach(Slot slot);
 
-  /// Recompute flow rates under the active policy and bring the completion
-  /// events up to date, per the active ReallocationMode.
+  /// Detach a flow, drop it from the index and the completion heap, and
+  /// free its slot.
+  void release(Slot slot);
+
+  /// Recompute the rates of the flows to visit under the active policy and
+  /// ReallocationMode, re-plan the completions whose rate moved, and bring
+  /// the calendar entry up to date.
   void reallocate();
 
+  /// Refresh link_share_ for the dirty links (EqualShare / NoContention).
+  void refresh_shares();
   /// Bottleneck rate of one flow under EqualShare / NoContention.
   [[nodiscard]] double path_rate(const Flow& f) const;
+  /// Progressive filling into maxmin_rate_, indexed by slot.
   void compute_rates_max_min();
 
-  /// Cancel + reschedule `f`'s completion event for its (already updated)
-  /// rate — or keep the event when the rate is bit-identical to `old_rate`.
-  void update_completion_event(TransferId id, Flow& f, double old_rate, util::SimTime now);
+  /// Re-plan `slot`'s completion for its (already updated) rate — or keep
+  /// it when the rate is bit-identical to `old_rate`. `batch` is this
+  /// reallocation's first reserved sequence, 0 until a re-plan reserves it.
+  void update_completion(Slot slot, double old_rate, util::SimTime now, sim::EventSeq& batch);
+
+  /// Make the one calendar entry match the head of completions_.
+  void sync_calendar();
 
   /// Mark a link whose flow count or capacity changed since the last
   /// reallocation.
   void mark_link_dirty(LinkId link);
-  [[nodiscard]] bool crosses_dirty_link(const Flow& f) const;
 
-  void on_completion_event(TransferId id);
-  void finish(TransferId id);
+  void on_calendar_event();
+  void finish(Slot slot);
 
-  using FlowVec = std::vector<std::pair<TransferId, Flow>>;
+  /// Slot of an active transfer; throws SimError naming `what` otherwise.
+  [[nodiscard]] Slot slot_of(TransferId id, const char* what) const;
+  /// Position of an active transfer in order_, or order_.end().
+  [[nodiscard]] std::vector<Slot>::const_iterator find_order(TransferId id) const;
 
-  /// Binary search by id (flows_ is sorted); end() when not active.
-  [[nodiscard]] FlowVec::iterator find_flow(TransferId id);
-  [[nodiscard]] FlowVec::const_iterator find_flow(TransferId id) const;
+  /// Effective capacity of a link right now (nominal x scale).
+  [[nodiscard]] double capacity(LinkId link) const;
 
   sim::Engine& engine_;
   const Topology& topo_;
   const Routing& routing_;
   SharePolicy policy_;
 
-  /// Effective capacity of a link right now (nominal x scale).
-  [[nodiscard]] double capacity(LinkId link) const;
+  std::vector<Flow> flows_;
+  std::vector<Slot> free_slots_;
+  /// Active slots sorted by TransferId. Ids come from an increasing
+  /// counter, so start() appends. settle() walks this index, which fixes
+  /// the summation order of delivered_mb_hops on every platform.
+  std::vector<Slot> order_;
+  /// Projected completions, an indexed min-heap (sim/indexed_heap.hpp).
+  std::vector<Completion> completions_;
+  /// The calendar event for completions_'s head, and that head's batch and
+  /// id (a re-planned flow always gets a later batch); 0 and kNoTransfer
+  /// while no event is pending.
+  sim::EventId calendar_event_ = sim::kNoEvent;
+  sim::EventSeq calendar_batch_ = 0;
+  TransferId calendar_id_ = kNoTransfer;
 
-  /// Sorted by TransferId: ids are handed out by an increasing counter, so
-  /// emplace_back keeps the vector ordered and iteration is creation order
-  /// on every platform. settle() and reallocate() walk this container, and
-  /// that walk order decides both the summation order of delivered_mb_hops
-  /// and the EventId assignment order of rescheduled completions — with a
-  /// hash map it would be a function of libc++ bucket internals instead. A
-  /// contiguous vector keeps those walks (the reallocation hot path) cache
-  /// friendly; lookups binary-search, erase shifts the tail (both are once
-  /// per transfer event, the walks happen several times per event).
-  std::vector<std::pair<TransferId, Flow>> flows_;
-  std::vector<std::size_t> link_flow_count_;
+  /// Flows on each link, in no particular order; a flow leaves by
+  /// swap-remove through its stored position.
+  std::vector<std::vector<LinkFlow>> link_flows_;
+  /// capacity / flow count (or capacity, under NoContention), refreshed
+  /// whenever the link is dirty at a reallocation.
+  std::vector<double> link_share_;
   std::vector<util::SimTime> link_busy_time_;
   /// Links with at least one flow, in no particular order (each link
   /// accumulates its own busy time, so order never matters), and each busy
@@ -248,8 +330,11 @@ class TransferManager {
   /// clearing O(dirty) instead of O(links).
   std::vector<std::uint8_t> link_dirty_;
   std::vector<LinkId> dirty_links_;
-  /// Scratch for MaxMin's old-rate snapshot (avoids per-reallocate allocs).
-  std::vector<double> old_rate_scratch_;
+  /// Incremental reallocation visits each flow on a dirty link once:
+  /// Flow::visit_epoch == visit_epoch_ marks the visited ones.
+  std::uint64_t visit_epoch_ = 0;
+  /// MaxMin's new rates, indexed by slot.
+  std::vector<double> maxmin_rate_;
   util::SimTime last_settle_ = 0.0;
   TransferId next_id_ = 1;
   ReallocationMode mode_;

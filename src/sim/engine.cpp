@@ -22,6 +22,12 @@ EventId Engine::schedule_at(util::SimTime t, const char* tag, EventFn fn) {
   return queue_.push(t, std::move(fn), tag);
 }
 
+EventId Engine::schedule_reserved(util::SimTime t, EventSeq seq, const char* tag, EventFn fn) {
+  CHICSIM_ASSERT_MSG(t >= now_, "event scheduled in the past");
+  CHICSIM_ASSERT_MSG(static_cast<bool>(fn), "event with empty callback");
+  return queue_.push_reserved(t, seq, std::move(fn), tag);
+}
+
 EventId Engine::schedule_in(util::SimTime delay, const char* tag, EventFn fn) {
   CHICSIM_ASSERT_MSG(delay >= 0.0, "negative event delay");
   return schedule_at(now_ + delay, tag, std::move(fn));

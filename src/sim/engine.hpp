@@ -44,6 +44,15 @@ class Engine {
   EventId schedule_at(util::SimTime t, const char* tag, EventFn fn);
   EventId schedule_in(util::SimTime delay, const char* tag, EventFn fn);
 
+  /// Take the sequence number the next schedule call would take, without
+  /// scheduling anything. An event later scheduled under it with
+  /// schedule_reserved() breaks equal-time ties exactly as if it had been
+  /// scheduled at reservation time (see EventQueue::reserve).
+  [[nodiscard]] EventSeq reserve_sequence() { return queue_.reserve(); }
+
+  /// Schedule `fn` at absolute time `t` (>= now) under a reserved sequence.
+  EventId schedule_reserved(util::SimTime t, EventSeq seq, const char* tag, EventFn fn);
+
   /// Cancel a pending event. Returns false when it already fired or was
   /// already cancelled.
   bool cancel(EventId id);

@@ -14,6 +14,10 @@ using EventId = std::uint64_t;
 
 inline constexpr EventId kNoEvent = 0;
 
+/// Schedule sequence number: equal-time events fire in increasing sequence
+/// order. Sequence 0 is never issued.
+using EventSeq = std::uint64_t;
+
 /// Event bodies are arbitrary callbacks. They run at their scheduled virtual
 /// time and may schedule or cancel further events.
 using EventFn = std::function<void()>;
@@ -21,9 +25,8 @@ using EventFn = std::function<void()>;
 /// Internal record of one scheduled event.
 struct Event {
   util::SimTime time = 0.0;
-  /// Handle issued by the EventQueue; ids grow with schedule order, so
-  /// events at equal times fire in the order they were scheduled, making
-  /// runs fully deterministic.
+  /// Handle the EventQueue issued for this event. Events at equal times
+  /// fire in schedule-sequence order, making runs fully deterministic.
   EventId id = kNoEvent;
   EventFn fn;
   /// Static event-type label for the wall-clock profiler (must point at a

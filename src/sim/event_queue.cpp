@@ -2,13 +2,13 @@
 
 #include <utility>
 
-#include "util/error.hpp"
+#include "sim/indexed_heap.hpp"
 
 namespace chicsim::sim {
 
-EventId EventQueue::push(util::SimTime time, EventFn fn, const char* tag) {
-  CHICSIM_ASSERT_MSG(next_seq_ < (EventId{1} << (64 - kSlotBits)),
-                     "event sequence numbers exhausted");
+EventId EventQueue::push_reserved(util::SimTime time, EventSeq seq, EventFn fn,
+                                  const char* tag) {
+  CHICSIM_ASSERT_MSG(seq != 0 && seq < next_seq_, "push under an unreserved sequence");
   if (free_slots_.empty()) {
     CHICSIM_ASSERT_MSG(slots_.size() <= kSlotMask, "too many pending events");
     free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
@@ -16,21 +16,19 @@ EventId EventQueue::push(util::SimTime time, EventFn fn, const char* tag) {
   }
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
-  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  ++total_pushes_;
   Slot& s = slots_[slot];
-  s.id = id;
+  s.handle = (total_pushes_ << kSlotBits) | slot;
   s.fn = std::move(fn);
   s.tag = tag;
-  heap_.push_back(Entry{time, id});
-  sift_up(heap_.size() - 1);
-  ++total_pushes_;
+  indexed_heap::push(heap_, Entry{time, (seq << kSlotBits) | slot}, before, place_fn());
   if (heap_.size() > peak_heap_size_) peak_heap_size_ = heap_.size();
-  return id;
+  return s.handle;
 }
 
 bool EventQueue::cancel(EventId id) {
-  const EventId slot = id & kSlotMask;
-  if (id == kNoEvent || slot >= slots_.size() || slots_[slot].id != id) return false;
+  const std::uint64_t slot = id & kSlotMask;
+  if (id == kNoEvent || slot >= slots_.size() || slots_[slot].handle != id) return false;
   remove_at(slots_[slot].pos);
   ++total_cancels_;
   return true;
@@ -44,57 +42,18 @@ util::SimTime EventQueue::next_time() const {
 Event EventQueue::pop() {
   CHICSIM_ASSERT_MSG(!empty(), "pop on empty queue");
   const Entry top = heap_.front();
-  Slot& s = slots_[top.id & kSlotMask];
-  Event event{top.time, top.id, std::move(s.fn), s.tag};
+  Slot& s = slots_[top.key & kSlotMask];
+  Event event{top.time, s.handle, std::move(s.fn), s.tag};
   remove_at(0);
   return event;
 }
 
 void EventQueue::remove_at(std::size_t pos) {
-  const auto slot = static_cast<std::uint32_t>(heap_[pos].id & kSlotMask);
-  slots_[slot].id = kNoEvent;
+  const auto slot = static_cast<std::uint32_t>(heap_[pos].key & kSlotMask);
+  slots_[slot].handle = kNoEvent;
   slots_[slot].fn = nullptr;
   free_slots_.push_back(slot);
-
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;
-  heap_[pos] = last;
-  if (pos > 0 && before(last, heap_[(pos - 1) / 2])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
-}
-
-void EventQueue::place(std::size_t pos, const Entry& e) {
-  heap_[pos] = e;
-  slots_[e.id & kSlotMask].pos = pos;
-}
-
-void EventQueue::sift_up(std::size_t pos) {
-  const Entry e = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!before(e, heap_[parent])) break;
-    place(pos, heap_[parent]);
-    pos = parent;
-  }
-  place(pos, e);
-}
-
-void EventQueue::sift_down(std::size_t pos) {
-  const Entry e = heap_[pos];
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-    if (!before(heap_[child], e)) break;
-    place(pos, heap_[child]);
-    pos = child;
-  }
-  place(pos, e);
+  indexed_heap::erase(heap_, pos, before, place_fn());
 }
 
 }  // namespace chicsim::sim

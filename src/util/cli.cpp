@@ -41,6 +41,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
     }
     Option* opt = find(name);
     if (opt == nullptr) throw SimError("cli: unknown option --" + name);
+    // Keeping only the last of two values would drop the first silently.
+    if (opt->seen) throw SimError("cli: --" + name + " given more than once");
     opt->seen = true;
     if (opt->is_flag) {
       if (inline_value) {

@@ -23,7 +23,7 @@ class CliParser {
   void add_flag(const std::string& name, const std::string& help);
 
   /// Parse argv. Returns false (after printing usage) when --help was given.
-  /// Throws SimError on unknown options or missing values.
+  /// Throws SimError on unknown, repeated or value-less options.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;

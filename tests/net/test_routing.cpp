@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace chicsim::net {
@@ -67,12 +69,17 @@ TEST(Routing, PathsAreSymmetricInLength) {
   }
 }
 
-TEST(Routing, RepeatedPathCallsReturnSameObject) {
-  Topology topo = build_star(4, 10.0);
+TEST(Routing, ForEachLinkVisitsThePathInOrder) {
+  Topology topo = build_hierarchy({30, 6, 10.0});
   Routing routing(topo);
-  const auto& p1 = routing.path(0, 2);
-  const auto& p2 = routing.path(0, 2);
-  EXPECT_EQ(&p1, &p2);
+  for (NodeId a = 0; a < 30; a += 7) {
+    for (NodeId b = 0; b < 30; b += 5) {
+      std::vector<LinkId> walked;
+      routing.for_each_link(a, b, [&](LinkId l) { walked.push_back(l); });
+      EXPECT_EQ(walked, routing.path(a, b));
+      EXPECT_EQ(routing.path(a, b), routing.path(a, b));
+    }
+  }
 }
 
 TEST(Routing, TriangleTakesDirectLink) {

@@ -46,6 +46,19 @@ TEST(TransferManager, CoLocatedEndpointsAreRejected) {
   EXPECT_EQ(w.tm.stats().transfers_started, 0u);
 }
 
+TEST(TransferManager, OutOfRangeEndpointIsRejectedBeforeAnyState) {
+  World w = star_world(2, 10.0);
+  EXPECT_THROW((void)w.tm.start(0, 99, 500.0, TransferPurpose::JobFetch, [](TransferId) {}),
+               util::SimError);
+  EXPECT_EQ(w.tm.stats().transfers_started, 0u);
+  // The manager is still whole: the next transfer runs normally.
+  double done_at = -1.0;
+  w.tm.start(0, 1, 100.0, TransferPurpose::JobFetch, [&](TransferId) { done_at = w.engine.now(); });
+  w.engine.run();
+  EXPECT_NEAR(done_at, 10.0, 1e-9);
+  EXPECT_EQ(w.tm.active_count(), 0u);
+}
+
 TEST(TransferManager, TwoFlowsOnSharedLinkHalveBandwidth) {
   World w = star_world(3, 10.0);
   // Both flows leave site 0, sharing the site0-hub link.

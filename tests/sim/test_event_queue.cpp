@@ -113,6 +113,63 @@ TEST(EventQueue, StaleHandleAfterSlotReuseCannotCancel) {
   EXPECT_EQ(fired, 1);
 }
 
+// An event pushed under a reserved sequence ties with equal-time events
+// exactly as if it had been pushed at reservation time, whatever was pushed
+// in between.
+TEST(EventQueue, ReservedSequenceOrdersLikeAnImmediatePush) {
+  EventQueue immediate;
+  EventId a = push_at(immediate, 5.0);
+  EventId b = push_at(immediate, 5.0);
+  EventId c = push_at(immediate, 5.0);
+
+  EventQueue reserved;
+  EventId rb0 = push_at(reserved, 5.0);
+  EventSeq seq = reserved.reserve();
+  EventId rc = push_at(reserved, 5.0);
+  EventId rb = reserved.push_reserved(5.0, seq, [] {});
+  EXPECT_EQ(reserved.total_pushes(), 3u);
+
+  const std::vector<EventId> want = {a, b, c};
+  const std::vector<EventId> got_order = {rb0, rb, rc};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(immediate.pop().id, want[i]);
+    EXPECT_EQ(reserved.pop().id, got_order[i]);
+  }
+  // Time still comes first: a reserved sequence only breaks ties.
+  EventSeq early = reserved.reserve();
+  EventId later_time = reserved.push_reserved(9.0, early, [] {});
+  EventId sooner = push_at(reserved, 8.0);
+  EXPECT_EQ(reserved.pop().id, sooner);
+  EXPECT_EQ(reserved.pop().id, later_time);
+}
+
+// One reserved sequence may be pushed again after its event was cancelled
+// (the TransferManager re-pushes its head this way); each push gets a fresh
+// handle, so the stale one cancels nothing even when the slot is reused.
+TEST(EventQueue, StaleHandleOfARepushedReservedSequenceCancelsNothing) {
+  EventQueue q;
+  EventSeq seq = q.reserve();
+  EventId first = q.push_reserved(4.0, seq, [] {});
+  EXPECT_TRUE(q.cancel(first));
+  int fired = 0;
+  EventId second = q.push_reserved(4.0, seq, [&] { ++fired; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(q.cancel(first));
+  ASSERT_EQ(q.size(), 1u);
+  Event e = q.pop();
+  EXPECT_EQ(e.id, second);
+  e.fn();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(q.cancel(second));
+}
+
+TEST(EventQueue, PushUnderUnreservedSequenceThrows) {
+  EventQueue q;
+  EXPECT_THROW((void)q.push_reserved(1.0, 0, [] {}), util::SimError);
+  EXPECT_THROW((void)q.push_reserved(1.0, 7, [] {}), util::SimError);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, EmptyPopThrows) {
   EventQueue q;
   EXPECT_THROW((void)q.pop(), util::SimError);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace chicsim::util {
@@ -76,6 +80,27 @@ TEST(Cli, PositionalArgumentThrows) {
   CliParser cli("prog", "test");
   auto args = argv_of({"prog", "stray"});
   EXPECT_THROW((void)cli.parse(static_cast<int>(args.size()), args.data()), SimError);
+}
+
+// `--set a=1 --set b=2` used to keep only `b=2`; a repeated option is an
+// error that names it, in every form.
+TEST(Cli, RepeatedOptionThrowsNamingIt) {
+  const std::vector<std::pair<std::string, std::vector<const char*>>> cases = {
+      {"--set", argv_of({"prog", "--set", "a=1", "--set", "b=2"})},
+      {"--set", argv_of({"prog", "--set=a=1", "--set=b=2"})},
+      {"--fast", argv_of({"prog", "--fast", "--fast=false"})},
+  };
+  for (const auto& [name, args] : cases) {
+    CliParser cli("prog", "test");
+    cli.add_option("set", "", "override");
+    cli.add_flag("fast", "go fast");
+    try {
+      (void)cli.parse(static_cast<int>(args.size()), args.data());
+      ADD_FAILURE() << "repeated " << name << " accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Cli, NonNumericValueThrowsOnTypedGet) {
