@@ -12,11 +12,12 @@
 # calendar pushes Incremental made) and a "profile" section with the
 # per-event-type wall-clock handler-time breakdown of one profiled full
 # Table-1 simulation (see docs/observability.md) and an "es_scan" section
-# with the GridView queries per JobDataPresent decision at 30 and at 1000
-# sites. Exits non-zero if the work ratio falls below 2, if either mode's
-# peak pending events is not exactly 1 (the TransferManager's one calendar
-# entry), or if the 1000-site queries per decision exceed twice the 30-site
-# value; all are counts, so the exit status is deterministic.
+# with the GridView queries per JobDataPresent and per JobLeastLoaded
+# decision at 30 and at 1000 sites. Exits non-zero if the work ratio falls
+# below 2, if either mode's peak pending events is not exactly 1 (the
+# TransferManager's one calendar entry), or if a policy's 1000-site queries
+# per decision exceed twice its 30-site value; all are counts, so the exit
+# status is deterministic.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"

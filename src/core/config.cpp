@@ -1,11 +1,14 @@
 #include "core/config.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -70,7 +73,9 @@ constexpr std::tuple kKeys{
     Key{"user_focus", &C::user_focus, {0.0, 1.0, false, false}},
     Key{"storage_capacity_mb", &C::storage_capacity_mb, kPositive},
     Key{"replication_threshold", &C::replication_threshold, kPositive},
-    Key{"ds_check_period_s", &C::ds_check_period_s, kPositive},
+    // At least a second: the DS timer (and simulate's timeline) re-arm
+    // every period, and a sub-resolution period would never advance time.
+    Key{"ds_check_period_s", &C::ds_check_period_s, kAtLeastOne},
     Key{"popularity_half_life_s", &C::popularity_half_life_s, kNonNegative},
     Key{"num_regions", &C::num_regions, kAtLeastOne},
     Key{"topology", &C::topology},
@@ -130,6 +135,39 @@ void parse_value(const char* key, const std::string& raw, T& field) {
   field = *v;
 }
 
+/// Levenshtein distance between `a` and `b` (one rolling row).
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1, diagonal + (a[i - 1] != b[j - 1] ? 1 : 0)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
+
+/// The unknown-key error, naming the nearest known key (the first in table
+/// order) when one is within edit distance 2.
+std::string unknown_key_message(const std::string& name) {
+  std::string out = "config: unknown key '" + name + "'";
+  const char* nearest = nullptr;
+  std::size_t best = 3;
+  for_each_key([&](const auto& key) {
+    std::size_t d = edit_distance(name, key.name);
+    if (d < best) {
+      best = d;
+      nearest = key.name;
+    }
+  });
+  if (nearest != nullptr) out += std::string(" (did you mean '") + nearest + "'?)";
+  return out;
+}
+
 template <typename T>
 std::string format_value(T v) {
   if constexpr (std::is_enum_v<T>) {
@@ -180,7 +218,7 @@ void SimulationConfig::apply(const util::ConfigFile& file) {
       known = true;
       parse_value(key.name, *file.get(name), this->*key.member);
     });
-    if (!known) throw util::SimError("config: unknown key '" + name + "'");
+    if (!known) throw util::SimError(unknown_key_message(name));
   }
 }
 

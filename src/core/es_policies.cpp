@@ -7,27 +7,20 @@
 
 namespace chicsim::core {
 
-namespace {
+// The GridView defaults: the full scans an indexed view must reproduce.
 
-/// Sites a placement may consider: every site the view believes is alive —
-/// or every site when the view believes nothing is (the dispatch guard
-/// then holds the job with backoff until something recovers, which beats a
-/// policy crash). In a fault-free run this is always the full site list,
-/// so the liveness filter perturbs nothing.
-std::vector<data::SiteIndex> placeable_sites(const GridView& view) {
-  const std::size_t n = view.num_sites();
-  std::vector<data::SiteIndex> alive;
-  alive.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    auto site = static_cast<data::SiteIndex>(s);
-    if (view.site_alive(site)) alive.push_back(site);
-  }
-  if (alive.empty()) {
-    alive.resize(n);
-    for (std::size_t s = 0; s < n; ++s) alive[s] = static_cast<data::SiteIndex>(s);
-  }
-  return alive;
+const std::vector<data::SiteIndex>& GridView::alive_sites() const {
+  collect_alive(num_sites(), [this](data::SiteIndex s) { return site_alive(s); }, scan_alive_);
+  return scan_alive_;
 }
+
+const std::vector<data::SiteIndex>& GridView::least_loaded_alive() const {
+  collect_least_loaded(
+      alive_sites(), [this](data::SiteIndex s) { return site_load(s); }, scan_least_loaded_);
+  return scan_least_loaded_;
+}
+
+namespace {
 
 /// The decision every placement rule shares: the candidates whose score is
 /// within `eps` of the lowest, in candidate order. Each score is computed
@@ -54,7 +47,8 @@ std::vector<data::SiteIndex> min_ties(const std::vector<data::SiteIndex>& candid
 }
 
 /// Among `candidates`, keep those with minimal load; return one uniformly
-/// at random (deterministic given the rng stream).
+/// at random (deterministic given the rng stream). Placement over every
+/// placeable site reads view.least_loaded_alive() instead.
 data::SiteIndex least_loaded_of(const std::vector<data::SiteIndex>& candidates,
                                 const GridView& view, util::Rng& rng) {
   auto ties = min_ties(
@@ -74,18 +68,18 @@ data::SiteIndex least_loaded_of(const std::vector<data::SiteIndex>& candidates,
 /// ascending order, yields the same qualifying list — hence the same site
 /// and the same rng draws — whenever (a) every input is larger than
 /// kEpsilon, so every holder scores above it, and (b) at least one holder
-/// is placeable. Placeable is alive in the view, or any site when the view
-/// believes no site is alive; whether any site is alive is only asked when
-/// every holder looks dead. Otherwise the full placeable list is scored.
+/// is placeable. Placeable is a member of view.alive_sites(), which is
+/// asked only when every holder looks dead. Otherwise the full placeable
+/// list is scored.
 std::vector<data::SiteIndex> data_present_candidates(const site::Job& job,
                                                      const GridView& view) {
   std::vector<data::SiteIndex> holders;
   for (auto input : job.inputs) {
-    if (!(view.dataset_size_mb(input) > util::kEpsilon)) return placeable_sites(view);
+    if (!(view.dataset_size_mb(input) > util::kEpsilon)) return view.alive_sites();
     const auto& sites = view.replica_sites(input);
     holders.insert(holders.end(), sites.begin(), sites.end());
   }
-  if (holders.empty()) return placeable_sites(view);
+  if (holders.empty()) return view.alive_sites();
   std::sort(holders.begin(), holders.end());
   holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
   std::size_t alive = 0;
@@ -96,12 +90,11 @@ std::vector<data::SiteIndex> data_present_candidates(const site::Job& job,
     holders.resize(alive);
     return holders;
   }
-  // Every holder looks dead: they are placeable only if every site is.
-  const std::size_t n = view.num_sites();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (view.site_alive(static_cast<data::SiteIndex>(s))) return placeable_sites(view);
-  }
-  return holders;
+  // Every holder looks dead: they are placeable only if every site is, and
+  // then alive_sites() falls back to the full list, dead holders included.
+  const auto& placeable = view.alive_sites();
+  if (std::binary_search(placeable.begin(), placeable.end(), holders.front())) return holders;
+  return placeable;
 }
 
 }  // namespace
@@ -109,14 +102,15 @@ std::vector<data::SiteIndex> data_present_candidates(const site::Job& job,
 data::SiteIndex JobRandomEs::select_site(const site::Job& job, const GridView& view,
                                          util::Rng& rng) {
   (void)job;
-  std::vector<data::SiteIndex> sites = placeable_sites(view);
+  const auto& sites = view.alive_sites();
   return sites[rng.index(sites.size())];
 }
 
 data::SiteIndex JobLeastLoadedEs::select_site(const site::Job& job, const GridView& view,
                                               util::Rng& rng) {
   (void)job;
-  return least_loaded_of(placeable_sites(view), view, rng);
+  const auto& ties = view.least_loaded_alive();
+  return ties[rng.index(ties.size())];
 }
 
 data::SiteIndex JobDataPresentEs::select_site(const site::Job& job, const GridView& view,
@@ -207,7 +201,7 @@ data::SiteIndex JobBestEstimateEs::select_site(const site::Job& job, const GridV
                                                util::Rng& rng) {
   CHICSIM_ASSERT_MSG(!job.inputs.empty(), "job without inputs");
   auto ties = min_ties(
-      placeable_sites(view),
+      view.alive_sites(),
       [&](data::SiteIndex c) { return JobAdaptiveEs::estimate_completion_s(job, c, view); },
       util::kEpsilon);
   return ties[rng.index(ties.size())];

@@ -228,11 +228,14 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
   // are tape-backed) and unreferenced (no transfer or job is holding it).
   // The replica catalog is NOT told — it now lies, and stays wrong until a
   // source selection trips over the lie or the end-of-run reconcile sweep.
+  // The fetch planner is flagged, so its next source selection for this
+  // dataset probes the holders.
   for (data::SiteIndex holder : replicas_.locations(dataset)) {
     site::Site& site = sites_[holder];
     if (!site.alive()) continue;
     if (!site.storage().evict(dataset)) continue;  // pinned or referenced: immune
     ++stats_.catalog_corruptions;
+    fetch_.note_catalog_lie(dataset);
     logger_.lazy(util::LogLevel::Debug, [&] {
       return "catalog corruption: dataset " + std::to_string(dataset) +
              " silently lost at site " + std::to_string(holder);

@@ -28,6 +28,7 @@ FetchPlanner::FetchPlanner(const SimulationConfig& config, sim::Engine& engine,
       rng_fetch_(util::Rng::substream(config.seed, "fetch")),
       rng_faults_(util::Rng::substream(config.seed, "transfer_faults")) {
   pending_fetches_.resize(sites_.size());
+  may_lie_.resize(catalog_.size());
 }
 
 void FetchPlanner::bind_jobs(JobLifecycle& jobs) { jobs_ = &jobs; }
@@ -239,26 +240,29 @@ void FetchPlanner::on_site_crashed(data::SiteIndex s) {
   }
 }
 
-data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteIndex dest) {
-  const auto& holders = replicas_.locations(dataset);
-  CHICSIM_ASSERT_MSG(!holders.empty(), "fetch of a dataset with no replicas");
+void FetchPlanner::note_catalog_lie(data::DatasetId dataset) {
+  CHICSIM_ASSERT_MSG(dataset < may_lie_.size(), "dataset id out of range");
+  may_lie_[dataset] = 1;
+}
 
-  // Serve only from live holders that really have the file. A catalogued
-  // copy that physically vanished (silent corruption) is a lie: reconcile
-  // it out so nobody trips over it again. Dead holders stay catalogued —
-  // pinned masters survive the crash and serve again after recovery. In a
-  // fault-free run `live` is always the full holder list in catalog
-  // order, so selection below draws and ties exactly as it always has.
-  std::vector<data::SiteIndex> live;
+bool FetchPlanner::may_lie(data::DatasetId dataset) const {
+  CHICSIM_ASSERT_MSG(dataset < may_lie_.size(), "dataset id out of range");
+  return may_lie_[dataset] != 0;
+}
+
+void FetchPlanner::reconcile_lies(data::DatasetId dataset) {
+  // A catalogued copy that physically vanished is a lie: reconcile it out
+  // so nobody trips over it again. Dead holders stay catalogued — pinned
+  // masters survive the crash and serve again after recovery.
   std::vector<data::SiteIndex> lies;
-  live.reserve(holders.size());
-  for (data::SiteIndex h : holders) {
-    if (!sites_[h].storage().contains(dataset)) {
+  bool durable = true;
+  for (data::SiteIndex h : replicas_.locations(dataset)) {
+    const data::StorageManager& storage = sites_[h].storage();
+    if (!storage.contains(dataset)) {
       lies.push_back(h);
-      continue;
+    } else if (!storage.holds_durable(dataset)) {
+      durable = false;
     }
-    if (!sites_[h].alive()) continue;
-    live.push_back(h);
   }
   for (data::SiteIndex h : lies) {
     bool removed = replicas_.remove(dataset, h);
@@ -267,30 +271,46 @@ data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteI
     events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, dataset,
                            h, data::kNoSite, catalog_.size_mb(dataset)});
   }
-  if (live.empty()) return data::kNoSite;
+  if (durable) may_lie_[dataset] = 0;
+}
+
+data::SiteIndex FetchPlanner::choose_source(data::DatasetId dataset, data::SiteIndex dest) {
+  CHICSIM_ASSERT_MSG(!replicas_.locations(dataset).empty(),
+                     "fetch of a dataset with no replicas");
+  // Serve only from live holders that really have the file. Removing lies
+  // keeps the catalog order of the rest, so in a fault-free run the live
+  // holders are the full holder list in catalog order, and selection
+  // below draws and ties exactly as it always has.
+  if (may_lie_[dataset] != 0) reconcile_lies(dataset);
+  const auto& holders = replicas_.locations(dataset);
 
   switch (config_.replica_selection) {
     case ReplicaSelection::Random: {
-      return live[rng_fetch_.index(live.size())];
+      live_.clear();
+      for (data::SiteIndex h : holders) {
+        if (sites_[h].alive()) live_.push_back(h);
+      }
+      if (live_.empty()) return data::kNoSite;
+      return live_[rng_fetch_.index(live_.size())];
     }
     case ReplicaSelection::Closest:
     case ReplicaSelection::LeastLoadedSource: {
-      // Lexicographic minimum of (hops, load, index) — or (load, hops,
-      // index) for LeastLoadedSource. The best holder's key is computed
-      // once per change of `best`, not once per comparison.
+      // Lexicographic minimum over live holders of (hops, load, index) —
+      // or (load, hops, index) for LeastLoadedSource. Under Closest a
+      // holder more hops away than the running best cannot win, so its
+      // liveness and load are not read.
       const bool closest = config_.replica_selection == ReplicaSelection::Closest;
-      auto key = [&](data::SiteIndex h) {
+      data::SiteIndex best = data::kNoSite;
+      std::tuple<std::size_t, std::size_t, data::SiteIndex> best_key;
+      for (data::SiteIndex h : holders) {
         std::size_t hops = routing_.hops(h, dest);
+        if (closest && best != data::kNoSite && hops > std::get<0>(best_key)) continue;
+        if (!sites_[h].alive()) continue;
         std::size_t load = sites_[h].load();
-        return closest ? std::make_tuple(hops, load, h) : std::make_tuple(load, hops, h);
-      };
-      data::SiteIndex best = live.front();
-      auto best_key = key(best);
-      for (data::SiteIndex h : live) {
-        auto k = key(h);
-        if (k < best_key) {
+        auto key = closest ? std::make_tuple(hops, load, h) : std::make_tuple(load, hops, h);
+        if (best == data::kNoSite || key < best_key) {
           best = h;
-          best_key = k;
+          best_key = key;
         }
       }
       return best;

@@ -13,7 +13,9 @@
 // exponential backoff, failing over to the next-best live replica source;
 // the coalesced waiters ride along untouched. Source selection never
 // serves from a dead site and eagerly reconciles replica-catalog entries
-// that turn out to be lies (silent catalog corruption).
+// that turn out to be lies (silent catalog corruption). Only the fault
+// injector's catalog loss makes a lie, and it flags the dataset: only a
+// flagged dataset's holders are probed against storage.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +63,15 @@ class FetchPlanner final {
   /// now (the caller parks the fetch and retries with backoff).
   [[nodiscard]] data::SiteIndex choose_source(data::DatasetId dataset,
                                               data::SiteIndex dest);
+
+  /// A copy of `dataset` vanished without the replica catalog being told
+  /// (the fault injector's catalog loss): the next choose_source for it
+  /// probes its holders against storage.
+  void note_catalog_lie(data::DatasetId dataset);
+
+  /// Whether `dataset`'s catalog may name a holder without the copy. When
+  /// false, every catalogued holder holds it (test seam).
+  [[nodiscard]] bool may_lie(data::DatasetId dataset) const;
 
   /// Force-fail the in-flight fetch of `dataset` toward `dest` (fault
   /// injection). The transfer is aborted and the fetch rescheduled with
@@ -126,6 +137,11 @@ class FetchPlanner final {
   /// Deliver an arrived dataset to every waiter and wake the site's LS.
   void land_waiters(data::SiteIndex dest, data::DatasetId dataset,
                     const std::vector<site::JobId>& waiters);
+  /// Remove every catalogued holder of `dataset` whose copy vanished, in
+  /// catalog order, emitting CatalogInvalidated for each. The flag then
+  /// clears unless a holder keeps only a transient copy, which can vanish
+  /// unreported.
+  void reconcile_lies(data::DatasetId dataset);
 
   const SimulationConfig& config_;
   sim::Engine& engine_;
@@ -144,6 +160,9 @@ class FetchPlanner final {
   /// Per destination site: datasets currently being fetched there, in
   /// dataset order (the order crash teardown acts in).
   std::vector<std::map<data::DatasetId, PendingFetch>> pending_fetches_;
+
+  std::vector<std::uint8_t> may_lie_;  ///< per dataset, see note_catalog_lie
+  std::vector<data::SiteIndex> live_;  ///< choose_source scratch (Random)
 
   std::uint64_t remote_fetches_ = 0;
   std::uint64_t transfer_retries_ = 0;

@@ -77,6 +77,37 @@ std::size_t InfoService::site_load(data::SiteIndex s) const {
   return load_snapshot_[s];
 }
 
+const std::vector<data::SiteIndex>& InfoService::indexed_alive_sites() const {
+  refresh_alive();
+  if (alive_index_epoch_ != alive_epoch_) {
+    collect_alive(
+        sites_.size(), [this](data::SiteIndex s) { return alive_snapshot_[s] != 0; },
+        alive_index_);
+    alive_index_epoch_ = alive_epoch_;
+  }
+  return alive_index_;
+}
+
+const std::vector<data::SiteIndex>& InfoService::alive_sites() const {
+  if (config_.info_staleness_s <= 0.0) return GridView::alive_sites();
+  ++view_queries_;
+  return indexed_alive_sites();
+}
+
+const std::vector<data::SiteIndex>& InfoService::least_loaded_alive() const {
+  if (config_.info_staleness_s <= 0.0) return GridView::least_loaded_alive();
+  ++view_queries_;
+  const auto& alive = indexed_alive_sites();
+  refresh_loads();
+  // Both snapshots were just refreshed, so they share the current epoch.
+  if (least_loaded_index_epoch_ != load_epoch_) {
+    collect_least_loaded(
+        alive, [this](data::SiteIndex s) { return load_snapshot_[s]; }, least_loaded_index_);
+    least_loaded_index_epoch_ = load_epoch_;
+  }
+  return least_loaded_index_;
+}
+
 std::size_t InfoService::site_compute_elements(data::SiteIndex s) const {
   ++view_queries_;
   CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");

@@ -16,6 +16,13 @@
 // captured lazily, per information family, at the first query inside each
 // epoch [k*S, (k+1)*S); static facts (topology, dataset sizes, neighbour
 // lists) and the NWS-style congestion probes stay live.
+//
+// The placement index: with staleness S > 0, published liveness and loads
+// are frozen for an epoch, so alive_sites() and least_loaded_alive() are
+// answered from lists rebuilt once per epoch from the snapshots (each read
+// counts as one view query; the rebuild's reads are internal). With
+// staleness 0 every placement changes a queue, so they fall back to the
+// GridView default scans, query for query.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +74,8 @@ class InfoService final : public GridView {
     ++view_queries_;
     return engine_.now();
   }
+  [[nodiscard]] const std::vector<data::SiteIndex>& alive_sites() const override;
+  [[nodiscard]] const std::vector<data::SiteIndex>& least_loaded_alive() const override;
 
   /// The publication epoch the current time falls in (diagnostics/tests).
   [[nodiscard]] util::SimTime current_epoch() const;
@@ -86,6 +95,10 @@ class InfoService final : public GridView {
   [[nodiscard]] const std::vector<data::SiteIndex>& published_replicas(
       data::DatasetId dataset) const;
 
+  /// The placement index (staleness > 0 only), uncounted: rebuilt when the
+  /// snapshot it was built from is re-published.
+  [[nodiscard]] const std::vector<data::SiteIndex>& indexed_alive_sites() const;
+
   const SimulationConfig& config_;
   const sim::Engine& engine_;
   const std::vector<site::Site>& sites_;
@@ -102,6 +115,10 @@ class InfoService final : public GridView {
   mutable util::SimTime replica_epoch_ = -1.0;
   mutable std::vector<std::uint8_t> alive_snapshot_;
   mutable util::SimTime alive_epoch_ = -1.0;
+  mutable std::vector<data::SiteIndex> alive_index_;
+  mutable util::SimTime alive_index_epoch_ = -1.0;
+  mutable std::vector<data::SiteIndex> least_loaded_index_;
+  mutable util::SimTime least_loaded_index_epoch_ = -1.0;
   mutable std::uint64_t view_queries_ = 0;
 };
 

@@ -12,6 +12,7 @@
 
 #include <deque>
 #include <functional>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/replica_catalog.hpp"
@@ -75,6 +76,57 @@ class GridView {
                                                            data::SiteIndex b) const = 0;
 
   [[nodiscard]] virtual util::SimTime now() const = 0;
+
+  /// Sites a placement may consider, ascending: every site the view
+  /// believes is alive — or every site when it believes none is (the
+  /// dispatch guard then holds the job with backoff until something
+  /// recovers, which beats a policy crash). The default scans num_sites()
+  /// and site_alive(); an indexed view may answer from a cache with the
+  /// same contents. The reference stays valid until the next call of
+  /// alive_sites() or least_loaded_alive() on this view.
+  [[nodiscard]] virtual const std::vector<data::SiteIndex>& alive_sites() const;
+
+  /// The sites of alive_sites() with the lowest site_load(), in the same
+  /// order (the tie list a least-loaded placement draws from). The default
+  /// reads each of those sites' load once. Same reference lifetime.
+  [[nodiscard]] virtual const std::vector<data::SiteIndex>& least_loaded_alive() const;
+
+ protected:
+  /// The placement rules both lists follow, for the defaults and for
+  /// indexed views alike. `out` becomes the sites s < n with `alive(s)`,
+  /// ascending — or all n when there are none.
+  template <typename Alive>
+  static void collect_alive(std::size_t n, Alive alive, std::vector<data::SiteIndex>& out) {
+    out.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      auto s = static_cast<data::SiteIndex>(i);
+      if (alive(s)) out.push_back(s);
+    }
+    if (out.empty()) {
+      for (std::size_t i = 0; i < n; ++i) out.push_back(static_cast<data::SiteIndex>(i));
+    }
+  }
+
+  /// `out` becomes the sites of `sites` with the lowest `load(s)`, in
+  /// order; each load is read once.
+  template <typename Load>
+  static void collect_least_loaded(const std::vector<data::SiteIndex>& sites, Load load,
+                                   std::vector<data::SiteIndex>& out) {
+    std::size_t best = static_cast<std::size_t>(-1);
+    out.clear();
+    for (data::SiteIndex s : sites) {
+      std::size_t l = load(s);
+      if (l < best) {
+        best = l;
+        out.clear();
+      }
+      if (l == best) out.push_back(s);
+    }
+  }
+
+ private:
+  mutable std::vector<data::SiteIndex> scan_alive_;  ///< default scans' results
+  mutable std::vector<data::SiteIndex> scan_least_loaded_;
 };
 
 /// External Scheduler: picks the execution site for one submitted job.

@@ -128,6 +128,11 @@ bool StorageManager::is_pinned(DatasetId id) const {
   return it != entries_.end() && it->second.pinned;
 }
 
+bool StorageManager::holds_durable(DatasetId id) const {
+  auto it = entries_.find(id);
+  return it != entries_.end() && !it->second.transient;
+}
+
 std::vector<DatasetId> StorageManager::held() const {
   std::vector<DatasetId> out;
   out.reserve(entries_.size());

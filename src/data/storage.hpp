@@ -84,6 +84,10 @@ class StorageManager {
   std::vector<DatasetId> invalidate_unpinned();
 
   [[nodiscard]] bool is_pinned(DatasetId id) const;
+
+  /// Held, and not transiently: a durable copy leaves storage only by a
+  /// reported eviction or an explicit evict().
+  [[nodiscard]] bool holds_durable(DatasetId id) const;
   [[nodiscard]] util::Megabytes capacity_mb() const { return capacity_mb_; }
   [[nodiscard]] util::Megabytes used_mb() const { return used_mb_; }
   [[nodiscard]] util::Megabytes free_mb() const { return capacity_mb_ - used_mb_; }

@@ -5,6 +5,7 @@
 
 #include "sim/profiler.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace chicsim::sim {
 
@@ -95,7 +96,17 @@ void PeriodicTimer::arm(util::SimTime t) {
     pending_ = kNoEvent;
     if (!running_) return;
     fn_();
-    if (running_) arm(engine_.now() + period_);
+    if (!running_) return;
+    util::SimTime next = engine_.now() + period_;
+    // A period below the clock's resolution at `now` would re-fire at the
+    // same instant forever.
+    if (!(next > engine_.now())) {
+      throw util::SimError(std::string("periodic timer '") + (tag_ ? tag_ : "untagged") +
+                           "': period " + util::format_exact(period_) +
+                           " s does not advance virtual time at t = " +
+                           util::format_exact(engine_.now()) + " s");
+    }
+    arm(next);
   });
 }
 

@@ -97,6 +97,9 @@ class Engine {
 /// Repeating timer: runs `fn` every `period` seconds starting at
 /// `start` (absolute). Used by the Dataset Schedulers' periodic popularity
 /// evaluation. Cancelling is done by destroying the timer or calling stop().
+/// A re-arm that would not advance virtual time (a period below the
+/// clock's resolution at the current time) throws util::SimError naming
+/// the tag, period and time.
 class PeriodicTimer {
  public:
   /// `tag` (optional, must outlive the timer) labels the ticks for the

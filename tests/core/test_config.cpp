@@ -233,6 +233,40 @@ TEST(Config, RejectionsNameTheKey) {
   expect_rejected("geometric_p = 1\n", "geometric_p");
 }
 
+TEST(Config, DsCheckPeriodBelowOneSecondIsRejected) {
+  // A sub-resolution period used to re-fire the DS timer at one instant
+  // forever; the paper's period is 300 s.
+  expect_rejected("ds_check_period_s = 1e-300\n", "ds_check_period_s");
+  expect_rejected("ds_check_period_s = 0.5\n", "ds_check_period_s");
+  SimulationConfig cfg;
+  cfg.apply(util::ConfigFile::parse("ds_check_period_s = 1\n"));
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+/// The message of the SimError that applying `text` throws.
+std::string apply_error(const std::string& text) {
+  SimulationConfig cfg;
+  try {
+    cfg.apply(util::ConfigFile::parse(text));
+  } catch (const util::SimError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted: " << text;
+  return "";
+}
+
+TEST(Config, UnknownKeyNamesNearestKnownKey) {
+  EXPECT_EQ(apply_error("ds_check_perod_s = 300\n"),
+            "config: unknown key 'ds_check_perod_s' (did you mean 'ds_check_period_s'?)");
+  // Distance 2: a transposition counts as two edits.
+  EXPECT_EQ(apply_error("sede = 3\n"), "config: unknown key 'sede' (did you mean 'seed'?)");
+  EXPECT_EQ(apply_error("num_site = 3\n"),
+            "config: unknown key 'num_site' (did you mean 'num_sites'?)");
+  // Nothing within distance 2: no hint.
+  EXPECT_EQ(apply_error("jbos = 5\n"), "config: unknown key 'jbos'");
+  EXPECT_EQ(apply_error("bogus_knob = 1\n"), "config: unknown key 'bogus_knob'");
+}
+
 TEST(Config, EveryKeyRejectsNan) {
   SimulationConfig defaults;
   for (const std::string& line : util::split(defaults.describe(), '\n')) {

@@ -303,6 +303,117 @@ TEST(JobDataPresent, HolderScanRunsBitIdenticalToFullScanOracle) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Oracles for the placement index: JobRandom, JobLeastLoaded and
+// JobBestEstimate as full scans of every site, each load read afresh. The
+// indexed policies (GridView::alive_sites / least_loaded_alive, answered
+// from the InfoService's per-epoch cache when staleness > 0) must run
+// bit-identically to them.
+
+class FullScanJobRandomEs final : public ExternalScheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "JobRandom"; }
+  [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
+                                            util::Rng& rng) override {
+    (void)job;
+    std::vector<data::SiteIndex> sites = full_scan_placeable_sites(view);
+    return sites[rng.index(sites.size())];
+  }
+};
+
+class FullScanJobLeastLoadedEs final : public ExternalScheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "JobLeastLoaded"; }
+  [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
+                                            util::Rng& rng) override {
+    (void)job;
+    return full_scan_least_loaded_of(full_scan_placeable_sites(view), view, rng);
+  }
+};
+
+class FullScanJobBestEstimateEs final : public ExternalScheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "JobBestEstimate"; }
+  [[nodiscard]] data::SiteIndex select_site(const site::Job& job, const GridView& view,
+                                            util::Rng& rng) override {
+    double best = std::numeric_limits<double>::infinity();
+    std::vector<data::SiteIndex> ties;
+    for (data::SiteIndex site : full_scan_placeable_sites(view)) {
+      double est = JobAdaptiveEs::estimate_completion_s(job, site, view);
+      if (est < best - util::kEpsilon) {
+        best = est;
+        ties.assign(1, site);
+      } else if (est <= best + util::kEpsilon) {
+        ties.push_back(site);
+      }
+    }
+    return ties[rng.index(ties.size())];
+  }
+};
+
+std::unique_ptr<ExternalScheduler> full_scan_oracle(EsAlgorithm es) {
+  switch (es) {
+    case EsAlgorithm::JobRandom:
+      return std::make_unique<FullScanJobRandomEs>();
+    case EsAlgorithm::JobLeastLoaded:
+      return std::make_unique<FullScanJobLeastLoadedEs>();
+    case EsAlgorithm::JobBestEstimate:
+      return std::make_unique<FullScanJobBestEstimateEs>();
+    default:
+      return nullptr;
+  }
+}
+
+TEST(EsIndex, IndexedPoliciesRunBitIdenticalToFullScanOracles) {
+  for (EsAlgorithm es :
+       {EsAlgorithm::JobRandom, EsAlgorithm::JobLeastLoaded, EsAlgorithm::JobBestEstimate}) {
+    for (DsAlgorithm ds : paper_ds_algorithms()) {
+      for (bool faults : {false, true}) {
+        for (double staleness : {0.0, 120.0}) {
+          SimulationConfig cfg;
+          cfg.es = es;
+          cfg.ds = ds;
+          cfg.seed = 37;
+          cfg.total_jobs = 2400;
+          cfg.info_staleness_s = staleness;
+          if (faults) {
+            cfg.fault_site_crash_rate_per_hour = 0.5;
+            cfg.fault_site_downtime_s = 1800.0;
+            cfg.fault_transfer_fail_prob = 0.05;
+            cfg.fault_catalog_loss_rate_per_hour = 30.0;
+          }
+          SCOPED_TRACE(std::string(to_string(es)) + " " + to_string(ds) +
+                       (faults ? " faults" : " no faults") + " staleness " +
+                       std::to_string(staleness));
+          Grid indexed(cfg);
+          indexed.run();
+          Grid full_scan(cfg);
+          full_scan.set_external_scheduler(full_scan_oracle(es));
+          full_scan.run();
+          EXPECT_EQ(fingerprint(indexed.metrics()), fingerprint(full_scan.metrics()));
+          EXPECT_LT(indexed.metrics().view_queries, full_scan.metrics().view_queries);
+          if (faults) {
+            EXPECT_GT(indexed.metrics().site_crashes, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EsIndex, JobLeastLoadedDecisionIsOneQueryWhenStale) {
+  SimulationConfig cfg;
+  cfg.es = EsAlgorithm::JobLeastLoaded;
+  cfg.ds = DsAlgorithm::DataDoNothing;  // no DS queries in the count
+  cfg.total_jobs = 600;
+  cfg.info_staleness_s = 120.0;
+  Grid grid(cfg);
+  grid.run();
+  // One least_loaded_alive() read per placement; placements are the jobs
+  // plus the resubmissions (none without faults).
+  EXPECT_EQ(grid.metrics().view_queries, 600u);
+}
+
 TEST(JobAdaptive, PrefersDataSiteWhenNetworkIsSlow) {
   FakeGridView view(4, 2);
   view.place(0, 2);

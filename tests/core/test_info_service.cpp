@@ -1,11 +1,18 @@
 // Tests of the information-service semantics of core::InfoService (reached
 // through its grid.info() seam): exact load with staleness 0, epoch-snapshot
 // load with staleness > 0, and the network occupancy metrics derived from
-// link busy-time integrals. Replica-location staleness is covered in
-// test_services.cpp.
+// link busy-time integrals, and the placement index against the GridView
+// default scans. Replica-location staleness is covered in test_services.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/grid.hpp"
+#include "core/info_service.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -103,6 +110,158 @@ TEST(InfoService, NoTrafficMeansIdleLinks) {
   grid.run();
   EXPECT_DOUBLE_EQ(grid.metrics().avg_link_busy_fraction, 0.0);
   EXPECT_DOUBLE_EQ(grid.metrics().max_link_busy_fraction, 0.0);
+}
+
+/// A standalone InfoService over sites whose queues and liveness a test
+/// sets directly, with the engine clock moved by run_until.
+struct IndexWorld {
+  explicit IndexWorld(std::size_t n, double staleness)
+      : topology(net::build_hierarchy({n, 1, 10.0})),
+        routing(topology),
+        transfers(engine, topology, routing),
+        replicas(1),
+        neighbors(n) {
+    config.num_sites = n;
+    config.info_staleness_s = staleness;
+    catalog.add("d0", 1000.0);
+    for (std::size_t s = 0; s < n; ++s) {
+      sites.emplace_back(static_cast<data::SiteIndex>(s), 2, 10000.0);
+    }
+    info = std::make_unique<InfoService>(config, engine, sites, catalog, replicas, topology,
+                                         routing, transfers, neighbors);
+  }
+
+  void set_load(data::SiteIndex s, std::size_t load) {
+    while (sites[s].load() < load) sites[s].enqueue(next_job++);
+    while (sites[s].load() > load) sites[s].remove_from_queue(sites[s].queue().back());
+  }
+
+  SimulationConfig config;
+  sim::Engine engine;
+  std::vector<site::Site> sites;
+  data::DatasetCatalog catalog;
+  net::Topology topology;
+  net::Routing routing;
+  net::TransferManager transfers;
+  data::ReplicaCatalog replicas;
+  std::vector<std::vector<data::SiteIndex>> neighbors;
+  std::unique_ptr<InfoService> info;
+  site::JobId next_job = 1;
+};
+
+TEST(InfoService, PlacementIndexMatchesDefaultScanOnRandomViews) {
+  util::Rng gen(77);
+  constexpr double kStaleness = 120.0;
+  // How often each edge case came up: every one must be exercised.
+  std::size_t some_dead = 0, all_dead = 0, tied = 0, changed_within_epoch = 0,
+              at_boundary = 0, epochs_crossed = 0;
+  for (std::uint64_t trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 1 + gen.index(12);
+    const double staleness = gen.chance(0.2) ? 0.0 : kStaleness;
+    IndexWorld w(n, staleness);
+    util::SimTime t = 0.0;
+    for (int step = 0; step < 25; ++step) {
+      // Next query time: the same instant, inside the epoch, exactly on
+      // the next epoch boundary, or a few epochs on.
+      const double epoch_start = std::floor(t / kStaleness) * kStaleness;
+      switch (gen.index(4)) {
+        case 0:
+          break;
+        case 1:
+          t = std::min(t + gen.uniform(0.0, 30.0), epoch_start + kStaleness * 0.99);
+          break;
+        case 2:
+          t = epoch_start + kStaleness;
+          ++at_boundary;
+          break;
+        default:
+          t = epoch_start + kStaleness * static_cast<double>(1 + gen.index(3)) +
+              gen.uniform(0.0, kStaleness * 0.9);
+          break;
+      }
+      epochs_crossed += t >= epoch_start + kStaleness ? 1 : 0;
+      w.engine.run_until(t);
+      // Ground truth moves: crashes, recoveries and queue changes land at
+      // any time, inside an epoch included, and sometimes every site dies.
+      const bool everything_dead = gen.chance(0.1);
+      for (data::SiteIndex s = 0; s < n; ++s) {
+        if (everything_dead) {
+          w.sites[s].set_alive(false);
+        } else if (gen.chance(0.3)) {
+          w.sites[s].set_alive(!w.sites[s].alive());
+        }
+        if (gen.chance(0.5)) w.set_load(s, gen.index(3));
+      }
+      changed_within_epoch += t < epoch_start + kStaleness && step > 0 ? 1 : 0;
+
+      // Either query may come first in the epoch: snapshots are captured
+      // at the first read, so the order must not matter.
+      const bool index_first = gen.chance(0.5);
+      std::vector<data::SiteIndex> scan_alive, scan_least, index_alive, index_least;
+      auto scan = [&] {
+        scan_alive = w.info->GridView::alive_sites();
+        scan_least = w.info->GridView::least_loaded_alive();
+      };
+      auto index = [&] {
+        std::uint64_t before = w.info->view_queries();
+        index_alive = w.info->alive_sites();
+        if (staleness > 0.0) EXPECT_EQ(w.info->view_queries(), before + 1);
+        before = w.info->view_queries();
+        index_least = w.info->least_loaded_alive();
+        if (staleness > 0.0) EXPECT_EQ(w.info->view_queries(), before + 1);
+      };
+      if (index_first) {
+        index();
+        scan();
+      } else {
+        scan();
+        index();
+      }
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " + std::to_string(step) +
+                   " t " + std::to_string(t));
+      ASSERT_EQ(index_alive, scan_alive);
+      ASSERT_EQ(index_least, scan_least);
+      if (scan_alive.size() < n) ++some_dead;
+      bool none_alive = true;
+      for (data::SiteIndex s = 0; s < n; ++s) none_alive &= !w.info->site_alive(s);
+      all_dead += none_alive ? 1 : 0;
+      tied += scan_least.size() > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(some_dead, 0u);
+  EXPECT_GT(all_dead, 0u);
+  EXPECT_GT(tied, 0u);
+  EXPECT_GT(changed_within_epoch, 0u);
+  EXPECT_GT(at_boundary, 0u);
+  EXPECT_GT(epochs_crossed, 0u);
+}
+
+TEST(InfoService, PlacementIndexIsFrozenWithinAnEpoch) {
+  // A crash and a recovery inside one epoch, and a queue that grows, are
+  // invisible until the next publication, which lands exactly on k*S.
+  IndexWorld w(4, 100.0);
+  w.set_load(0, 2);
+  w.set_load(1, 1);
+  w.set_load(2, 1);
+  w.set_load(3, 3);
+  w.engine.run_until(10.0);
+  EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1, 2}));
+  w.engine.run_until(40.0);
+  w.sites[1].set_alive(false);
+  w.set_load(2, 5);
+  EXPECT_EQ(w.info->alive_sites(), (std::vector<data::SiteIndex>{0, 1, 2, 3}));
+  EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1, 2}));
+  w.engine.run_until(70.0);
+  w.sites[1].set_alive(true);
+  w.sites[3].set_alive(false);
+  EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1, 2}));
+  w.engine.run_until(100.0);  // the boundary itself starts the next epoch
+  EXPECT_EQ(w.info->alive_sites(), (std::vector<data::SiteIndex>{0, 1, 2}));
+  EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1}));
+  for (auto& site : w.sites) site.set_alive(false);
+  w.engine.run_until(200.0);  // nothing alive: every site is placeable
+  EXPECT_EQ(w.info->alive_sites(), (std::vector<data::SiteIndex>{0, 1, 2, 3}));
+  EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1}));
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/engine.hpp"
 #include "util/error.hpp"
 
@@ -49,6 +51,25 @@ TEST(PeriodicTimer, NonPositivePeriodThrows) {
   Engine engine;
   EXPECT_THROW(PeriodicTimer(engine, 1.0, 0.0, [] {}), util::SimError);
   EXPECT_THROW(PeriodicTimer(engine, 1.0, -2.0, [] {}), util::SimError);
+}
+
+TEST(PeriodicTimer, PeriodBelowClockResolutionThrowsInsteadOfSpinning) {
+  // At t = 1e6 s one ulp is about 1.2e-10 s, so 1e6 + 1e-12 == 1e6: a
+  // re-arm there would re-fire at the same instant forever.
+  Engine engine;
+  int fires = 0;
+  PeriodicTimer timer(engine, 1e6, 1e-12, [&] { ++fires; }, "ds_evaluate");
+  try {
+    engine.run();
+    ADD_FAILURE() << "a timer that cannot advance time was re-armed";
+  } catch (const util::SimError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("ds_evaluate"), std::string::npos) << what;
+    EXPECT_NE(what.find("1e-12"), std::string::npos) << what;
+    EXPECT_NE(what.find("t = 1e+06 s"), std::string::npos) << what;
+  }
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(engine.now(), 1e6);
 }
 
 TEST(PeriodicTimer, CallbackMayScheduleOtherEvents) {
