@@ -18,6 +18,10 @@
 // JobDataPresent and JobLeastLoaded and records the GridView queries per ES
 // decision ("es_scan"): a placement that scores only replica holders, or
 // reads the InfoService's least-loaded index, costs the same at both sizes.
+// A "setup" row records the best-of-7 host time of one Grid construction
+// and of one Routing construction at 30, 300 and 1000 sites (Table-1
+// workload, hierarchy of 6, 12 and 40 regions): a site-count trajectory
+// with no gate.
 // scripts/bench_report.sh uses this to produce BENCH_engine.json; the
 // process exits non-zero if the ratio falls below 2, if either mode's peak
 // pending events is not 1, or if a policy's 1000-site queries per decision
@@ -329,6 +333,46 @@ double es_queries_per_decision(core::EsAlgorithm es_algorithm, std::size_t sites
   return counted.queries_per_decision();
 }
 
+/// Fastest of `repeats` host-time measurements of fn().
+template <class Fn>
+double best_seconds(int repeats, Fn&& fn) {
+  double best = 0.0;
+  for (int i = 0; i < repeats; ++i) {
+    // detlint: allow(wall-clock): benchmark harness times set-up; nothing simulated reads it
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (i == 0 || s < best) best = s;
+  }
+  return best;
+}
+
+/// Set-up cost at one grid size: the Table-1 workload (users, datasets,
+/// jobs) on a hierarchy of `sites` sites under `regions` routers.
+struct SetupRow {
+  std::size_t sites = 0;
+  std::size_t regions = 0;
+  double grid_s = 0.0;     ///< best Grid construction (world and workload)
+  double routing_s = 0.0;  ///< best Routing construction over that hierarchy
+};
+
+SetupRow measure_setup(std::size_t sites, std::size_t regions, int repeats) {
+  core::SimulationConfig cfg;
+  cfg.num_sites = sites;
+  cfg.num_regions = regions;
+  SetupRow row{sites, regions};
+  row.grid_s = best_seconds(repeats, [&cfg] {
+    core::Grid grid(cfg);
+    benchmark::DoNotOptimize(&grid);
+  });
+  const net::Topology topo = net::build_hierarchy({sites, regions, cfg.link_bandwidth_mbps});
+  row.routing_s = best_seconds(repeats, [&topo] {
+    net::Routing routing(topo);
+    benchmark::DoNotOptimize(&routing);
+  });
+  return row;
+}
+
 int run_engine_json(const std::string& path) {
   constexpr std::size_t kFlows = 2048;
   constexpr int kRepeats = 3;
@@ -379,6 +423,15 @@ int run_engine_json(const std::string& path) {
         core::to_string(row.es), row.small, row.large, row.pass() ? "PASS" : "FAIL");
   }
 
+  constexpr int kSetupRepeats = 7;
+  std::vector<SetupRow> setups{measure_setup(30, 6, kSetupRepeats),
+                               measure_setup(300, 12, kSetupRepeats),
+                               measure_setup(1000, 40, kSetupRepeats)};
+  for (const SetupRow& row : setups) {
+    std::printf("setup at %4zu sites (best of %d): Grid %.3f ms, Routing %.3f ms\n", row.sites,
+                kSetupRepeats, row.grid_s * 1e3, row.routing_s * 1e3);
+  }
+
   std::string profile_json = run_profiled_simulation();
 
   std::ofstream out(path);
@@ -404,6 +457,14 @@ int run_engine_json(const std::string& path) {
         << "+DataLeastLoaded\", \"view_queries_per_decision\": {\"sites_30\": " << row.small
         << ", \"sites_1000\": " << row.large
         << "}, \"pass_2x\": " << (row.pass() ? "true" : "false") << "}";
+  }
+  out << "\n  ],\n"
+      << "  \"setup\": [";
+  for (std::size_t i = 0; i < setups.size(); ++i) {
+    const SetupRow& row = setups[i];
+    out << (i == 0 ? "\n" : ",\n") << "    {\"sites\": " << row.sites
+        << ", \"regions\": " << row.regions << ", \"repeats\": " << kSetupRepeats
+        << ", \"grid_s\": " << row.grid_s << ", \"routing_s\": " << row.routing_s << "}";
   }
   out << "\n  ],\n"
       << "  \"flows_walked\": " << incr.flows_walked() << ",\n"

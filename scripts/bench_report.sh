@@ -13,7 +13,9 @@
 # per-event-type wall-clock handler-time breakdown of one profiled full
 # Table-1 simulation (see docs/observability.md) and an "es_scan" section
 # with the GridView queries per JobDataPresent and per JobLeastLoaded
-# decision at 30 and at 1000 sites. Exits non-zero if the work ratio falls
+# decision at 30 and at 1000 sites, and a "setup" section with the best
+# Grid and Routing construction times at 30, 300 and 1000 sites (a
+# trajectory, not gated). Exits non-zero if the work ratio falls
 # below 2, if either mode's peak pending events is not exactly 1 (the
 # TransferManager's one calendar entry), or if a policy's 1000-site queries
 # per decision exceed twice its 30-site value; all are counts, so the exit

@@ -1,48 +1,55 @@
 #include "net/routing.hpp"
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace chicsim::net {
 
-namespace {
-constexpr LinkId kNoLink = static_cast<LinkId>(-1);
-constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
-}  // namespace
-
-Routing::Routing(const Topology& topo) : topo_(topo), n_(topo.node_count()) {
-  CHICSIM_ASSERT_MSG(topo.connected(), "routing requires a connected topology");
-  next_link_.assign(n_ * n_, kNoLink);
-  hop_count_.assign(n_ * n_, kUnreached);
-
-  // One BFS per destination: record, for every source, the first link on a
-  // shortest path toward that destination. BFS from the destination and
-  // point each discovered node back toward where it was discovered from.
-  // Both tables are destination-major, so each BFS fills one contiguous row.
-  std::vector<NodeId> frontier;
-  frontier.reserve(n_);
-  for (NodeId dst = 0; dst < n_; ++dst) {
-    LinkId* toward = next_link_.data() + static_cast<std::size_t>(dst) * n_;
-    std::uint32_t* dist = hop_count_.data() + static_cast<std::size_t>(dst) * n_;
-    frontier.assign(1, dst);
-    dist[dst] = 0;
+Routing::Routing(const Topology& topo)
+    : parent_(topo.node_count(), kNoNode),
+      uplink_(topo.node_count(), 0),
+      depth_(topo.node_count(), 0) {
+  const std::size_t n = topo.node_count();
+  // A connected graph with n - 1 links is a tree; the BFS counts what it
+  // reaches.
+  std::size_t reached = 0;
+  if (n > 0 && topo.link_count() == n - 1) {
+    std::vector<NodeId> frontier;
+    frontier.reserve(n);
+    frontier.push_back(0);
+    std::vector<bool> seen(n, false);
+    seen[0] = true;
     for (std::size_t head = 0; head < frontier.size(); ++head) {
       const NodeId u = frontier[head];
       for (LinkId l : topo.links_of(u)) {
         const NodeId v = topo.neighbor_via(l, u);
-        if (dist[v] == kUnreached) {
-          dist[v] = dist[u] + 1;
-          toward[v] = l;  // from v, go over l to u (closer to dst)
-          frontier.push_back(v);
-        }
+        if (seen[v]) continue;
+        seen[v] = true;
+        parent_[v] = u;
+        uplink_[v] = l;
+        depth_[v] = depth_[u] + 1;
+        frontier.push_back(v);
       }
     }
-    CHICSIM_ASSERT(frontier.size() == n_);
+    reached = frontier.size();
+  }
+  if (n == 0 || reached != n) {
+    throw util::SimError("routing requires a tree topology (connected, links = nodes - 1); got " +
+                         std::to_string(n) + " nodes and " +
+                         std::to_string(topo.link_count()) + " links");
   }
 }
 
-std::size_t Routing::index(NodeId src, NodeId dst) const {
-  CHICSIM_ASSERT_MSG(src < n_ && dst < n_, "routing endpoint out of range");
-  return static_cast<std::size_t>(dst) * n_ + src;
+NodeId Routing::common_ancestor(NodeId a, NodeId b) const {
+  CHICSIM_ASSERT_MSG(a < parent_.size() && b < parent_.size(), "routing endpoint out of range");
+  while (depth_[a] > depth_[b]) a = parent_[a];
+  while (depth_[b] > depth_[a]) b = parent_[b];
+  while (a != b) {
+    a = parent_[a];
+    b = parent_[b];
+  }
+  return a;
 }
 
 std::vector<LinkId> Routing::path(NodeId src, NodeId dst) const {
@@ -52,13 +59,19 @@ std::vector<LinkId> Routing::path(NodeId src, NodeId dst) const {
   return p;
 }
 
-std::size_t Routing::hops(NodeId src, NodeId dst) const { return hop_count_[index(src, dst)]; }
+std::size_t Routing::hops(NodeId src, NodeId dst) const {
+  const NodeId top = common_ancestor(src, dst);
+  return static_cast<std::size_t>(depth_[src]) + depth_[dst] - 2 * std::size_t{depth_[top]};
+}
 
 NodeId Routing::next_hop(NodeId src, NodeId dst) const {
+  CHICSIM_ASSERT_MSG(src < parent_.size() && dst < parent_.size(),
+                     "routing endpoint out of range");
   if (src == dst) return src;
-  LinkId l = next_link_[index(src, dst)];
-  CHICSIM_ASSERT(l != kNoLink);
-  return topo_.neighbor_via(l, src);
+  // Down toward dst when src is its ancestor, up otherwise.
+  NodeId v = dst;
+  while (depth_[v] > depth_[src] + 1) v = parent_[v];
+  return parent_[v] == src ? v : parent_[src];
 }
 
 }  // namespace chicsim::net

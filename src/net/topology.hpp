@@ -4,8 +4,9 @@
 // The paper assumes "a hierarchical network topology much like that
 // envisioned by the GriPhyN project" (§5.1): storage/compute sites at the
 // leaves under regional routers under a root.  `build_hierarchy` constructs
-// exactly that; arbitrary graphs can also be assembled link by link for
-// tests and ablations (e.g. a flat full mesh).
+// exactly that; `build_tree` and `build_star` build the other trees the
+// ablations use. Any graph can be assembled link by link (e.g. a flat full
+// mesh), but Routing accepts trees only and rejects the rest.
 #pragma once
 
 #include <cstddef>

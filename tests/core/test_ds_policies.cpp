@@ -13,6 +13,12 @@ namespace {
 
 using testing::FakeGridView;
 
+// Tests assign popular_ from a DatasetIds temporary, not a braced list:
+// g++ 12 at -O3 reports a false -Wnonnull for std::vector<unsigned>'s
+// initializer_list assignment (the memmove it flags runs only for more
+// than one element, when the storage is allocated).
+using DatasetIds = std::vector<data::DatasetId>;
+
 /// Scriptable ReplicationContext recording replicate() calls.
 class FakeReplicationContext final : public ReplicationContext {
  public:
@@ -54,7 +60,7 @@ class FakeReplicationContext final : public ReplicationContext {
 TEST(DataDoNothing, NeverReplicates) {
   FakeGridView view(5, 3);
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {0, 1, 2};
+  ctx.popular_ = DatasetIds{0, 1, 2};
   util::Rng rng(1);
   DataDoNothingDs ds;
   ds.evaluate(ctx, rng);
@@ -65,7 +71,7 @@ TEST(DataDoNothing, NeverReplicates) {
 TEST(DataRandom, ReplicatesEachHotDatasetSomewhereElse) {
   FakeGridView view(6, 3);
   FakeReplicationContext ctx(view, 2);
-  ctx.popular_ = {0, 1};
+  ctx.popular_ = DatasetIds{0, 1};
   util::Rng rng(2);
   DataRandomDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -83,7 +89,7 @@ TEST(DataRandom, SkipsSitesAlreadyHolding) {
   view.place(0, 2);
   view.place(0, 1);
   FakeReplicationContext ctx(view, 2);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(3);
   DataRandomDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -100,7 +106,7 @@ TEST(DataRandom, TwoSiteGridAlwaysReplicatesToTheOtherSite) {
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {
     FakeGridView view(2, 1);
     FakeReplicationContext ctx(view, 0);
-    ctx.popular_ = {0};
+    ctx.popular_ = DatasetIds{0};
     util::Rng rng(seed);
     DataRandomDs ds(10.0);
     ds.evaluate(ctx, rng);
@@ -116,7 +122,7 @@ TEST(DataRandom, SelfIsNeverDrawn) {
   std::vector<bool> seen(5, false);
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     FakeReplicationContext ctx(view, 2);
-    ctx.popular_ = {0};
+    ctx.popular_ = DatasetIds{0};
     util::Rng rng(seed);
     DataRandomDs ds(10.0);
     ds.evaluate(ctx, rng);
@@ -131,7 +137,7 @@ TEST(DataRandom, SelfIsNeverDrawn) {
 TEST(DataRandom, SingleSiteGridDoesNothing) {
   FakeGridView view(1, 1);
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(1);
   DataRandomDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -144,7 +150,7 @@ TEST(DataRandom, FullySaturatedDatasetIsOnlyReset) {
   view.place(0, 1);
   view.place(0, 2);
   FakeReplicationContext ctx(view, 2);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(4);
   DataRandomDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -156,7 +162,7 @@ TEST(DataLeastLoaded, PicksLeastLoadedNeighbor) {
   FakeGridView view(4, 2);
   view.loads_ = {9, 3, 0, 6};  // self = 0
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {1};
+  ctx.popular_ = DatasetIds{1};
   util::Rng rng(5);
   DataLeastLoadedDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -168,7 +174,7 @@ TEST(DataLeastLoaded, CountsInboundReplicationsAsLoad) {
   FakeGridView view(4, 2);
   view.loads_ = {9, 3, 0, 6};
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {1};
+  ctx.popular_ = DatasetIds{1};
   ctx.inbound_[2] = 5;  // the cold site is already receiving 5 pushes
   util::Rng rng(6);
   DataLeastLoadedDs ds(10.0);
@@ -182,7 +188,7 @@ TEST(DataLeastLoaded, SkipsNeighborsAlreadyHolding) {
   view.loads_ = {5, 0, 1};  // self = 0; site 1 is coldest but holds the data
   view.place(0, 1);
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(7);
   DataLeastLoadedDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -195,7 +201,7 @@ TEST(DataLeastLoaded, RespectsNeighborList) {
   view.loads_ = {9, 9, 0, 9};
   view.neighbors_[0] = {1, 3};  // site 2 (coldest) is not a known site
   FakeReplicationContext ctx(view, 0);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(8);
   DataLeastLoadedDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -206,7 +212,7 @@ TEST(DataLeastLoaded, RespectsNeighborList) {
 TEST(DataBestClient, ReplicatesToTopRequester) {
   FakeGridView view(5, 2);
   FakeReplicationContext ctx(view, 1);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   ctx.top_requester_[0] = 4;
   util::Rng rng(9);
   DataBestClientDs ds(10.0);
@@ -218,7 +224,7 @@ TEST(DataBestClient, ReplicatesToTopRequester) {
 TEST(DataBestClient, NoRequesterMeansNoPush) {
   FakeGridView view(5, 2);
   FakeReplicationContext ctx(view, 1);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(10);
   DataBestClientDs ds(10.0);
   ds.evaluate(ctx, rng);
@@ -230,7 +236,7 @@ TEST(DataBestClient, SkipsRequesterAlreadyHolding) {
   FakeGridView view(5, 2);
   view.place(0, 4);
   FakeReplicationContext ctx(view, 1);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   ctx.top_requester_[0] = 4;
   util::Rng rng(11);
   DataBestClientDs ds(10.0);
@@ -241,7 +247,7 @@ TEST(DataBestClient, SkipsRequesterAlreadyHolding) {
 TEST(DataFastSpread, EvaluateIsANoOp) {
   FakeGridView view(5, 2);
   FakeReplicationContext ctx(view, 1);
-  ctx.popular_ = {0};
+  ctx.popular_ = DatasetIds{0};
   util::Rng rng(12);
   DataFastSpreadDs ds;
   ds.evaluate(ctx, rng);

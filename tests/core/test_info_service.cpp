@@ -205,10 +205,14 @@ TEST(InfoService, PlacementIndexMatchesDefaultScanOnRandomViews) {
       auto index = [&] {
         std::uint64_t before = w.info->view_queries();
         index_alive = w.info->alive_sites();
-        if (staleness > 0.0) EXPECT_EQ(w.info->view_queries(), before + 1);
+        if (staleness > 0.0) {
+          EXPECT_EQ(w.info->view_queries(), before + 1);
+        }
         before = w.info->view_queries();
         index_least = w.info->least_loaded_alive();
-        if (staleness > 0.0) EXPECT_EQ(w.info->view_queries(), before + 1);
+        if (staleness > 0.0) {
+          EXPECT_EQ(w.info->view_queries(), before + 1);
+        }
       };
       if (index_first) {
         index();

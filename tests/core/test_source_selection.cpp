@@ -243,7 +243,9 @@ TEST(SourceSelection, MatchesProbeEveryHolderReferenceOnRandomStates) {
         }
         no_source += got == data::kNoSite ? 1 : 0;
         flag_kept += was_flagged && w.planner->may_lie(d) ? 1 : 0;
-        if (!expected.invalidated.empty()) EXPECT_TRUE(was_flagged);
+        if (!expected.invalidated.empty()) {
+          EXPECT_TRUE(was_flagged);
+        }
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -82,7 +83,7 @@ TEST(Routing, ForEachLinkVisitsThePathInOrder) {
   }
 }
 
-TEST(Routing, TriangleTakesDirectLink) {
+TEST(Routing, CyclicTopologyIsRejected) {
   Topology topo;
   NodeId a = topo.add_node(NodeKind::Site, "a");
   NodeId b = topo.add_node(NodeKind::Site, "b");
@@ -90,9 +91,22 @@ TEST(Routing, TriangleTakesDirectLink) {
   topo.add_link(a, b, 10.0);
   topo.add_link(b, c, 10.0);
   topo.add_link(a, c, 10.0);
-  Routing routing(topo);
-  EXPECT_EQ(routing.hops(a, c), 1u);
-  EXPECT_EQ(routing.next_hop(a, c), c);
+  try {
+    Routing routing(topo);
+    FAIL() << "a triangle was accepted";
+  } catch (const util::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("3 nodes and 3 links"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Routing, ParallelLinksAreRejected) {
+  Topology topo = build_star(2, 10.0);
+  topo.add_link(0, 2, 10.0);  // a second site0-hub link
+  EXPECT_THROW(Routing{topo}, util::SimError);
+}
+
+TEST(Routing, EmptyTopologyIsRejected) {
+  EXPECT_THROW(Routing{Topology{}}, util::SimError);
 }
 
 TEST(Routing, OutOfRangeThrows) {
