@@ -50,7 +50,7 @@ void DataLeastLoadedDs::evaluate(ReplicationContext& ctx, util::Rng& rng) {
     data::SiteIndex dest = data::kNoSite;
     std::size_t best_load = std::numeric_limits<std::size_t>::max();
     for (data::SiteIndex n : neighbors) {
-      if (view.site_has_dataset(n, hot)) continue;
+      if (n == ctx.self() || view.site_has_dataset(n, hot)) continue;
       // Count replicas already heading there: the "least loaded" host for
       // the next hot dataset is not the one every sibling just picked.
       std::size_t load = view.site_load(n) + ctx.inbound_replications(n);
@@ -85,13 +85,13 @@ void DataFastSpreadDs::evaluate(ReplicationContext& ctx, util::Rng& rng) {
 void DataFastSpreadDs::on_remote_fetch(ReplicationContext& ctx, data::DatasetId dataset,
                                        data::SiteIndex requester, util::Rng& rng) {
   const GridView& view = ctx.view();
-  const auto& neighbors = view.neighbors(requester);
-  if (neighbors.empty()) return;
   // One extra copy lands beside the requester, pre-positioning the data in
   // that region for the next consumer.
   std::vector<data::SiteIndex> candidates;
-  for (data::SiteIndex n : neighbors) {
-    if (n != ctx.self() && !view.site_has_dataset(n, dataset)) candidates.push_back(n);
+  for (data::SiteIndex n : view.neighbors(requester)) {
+    if (n != requester && n != ctx.self() && !view.site_has_dataset(n, dataset)) {
+      candidates.push_back(n);
+    }
   }
   if (candidates.empty()) return;
   ctx.replicate(dataset, candidates[rng.index(candidates.size())]);

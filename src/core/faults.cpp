@@ -227,7 +227,8 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
   // Silently destroy the first droppable physical copy: unpinned (masters
   // are tape-backed) and unreferenced (no transfer or job is holding it).
   // The replica catalog is NOT told — it now lies, and stays wrong until a
-  // source selection trips over the lie or the end-of-run reconcile sweep.
+  // source selection trips over the lie or the end-of-run sweep
+  // (FetchPlanner::reconcile_flagged).
   // The fetch planner is flagged, so its next source selection for this
   // dataset probes the holders.
   for (data::SiteIndex holder : replicas_.locations(dataset)) {
@@ -243,23 +244,6 @@ void FaultInjector::apply_catalog_loss(data::DatasetId dataset) {
     return;
   }
   // Every copy is pinned, referenced or on a dead site: the fault misses.
-}
-
-std::uint64_t FaultInjector::reconcile_catalog() {
-  std::uint64_t scrubbed = 0;
-  for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
-    // Copy: remove() mutates the location vector we would be iterating.
-    std::vector<data::SiteIndex> holders = replicas_.locations(d);
-    for (data::SiteIndex h : holders) {
-      if (sites_[h].storage().contains(d)) continue;
-      bool removed = replicas_.remove(d, h);
-      CHICSIM_ASSERT(removed);
-      events_.emit(GridEvent{GridEventType::CatalogInvalidated, 0.0, site::kNoJob, d, h,
-                             data::kNoSite, catalog_.size_mb(d)});
-      ++scrubbed;
-    }
-  }
-  return scrubbed;
 }
 
 }  // namespace chicsim::core

@@ -123,13 +123,6 @@ class FaultInjector {
 
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
 
-  /// Remove replica-catalog entries whose physical copy silently vanished
-  /// (the CatalogEntryLoss stream): emits CatalogInvalidated per lie and
-  /// returns how many were scrubbed. The FetchPlanner reconciles lazily on
-  /// discovery; this sweeps whatever was never looked at, so the end-of-run
-  /// audit sees a truthful catalog.
-  std::uint64_t reconcile_catalog();
-
  private:
   void apply(const FaultAction& action);
   void apply_site_crash(data::SiteIndex s);

@@ -1,12 +1,12 @@
 #include "core/fetch_planner.hpp"
 
-#include <algorithm>
 #include <iterator>
 #include <tuple>
 
 #include "core/job_lifecycle.hpp"
 #include "core/replication_driver.hpp"
 #include "util/error.hpp"
+#include "util/units.hpp"
 
 namespace chicsim::core {
 
@@ -159,9 +159,8 @@ void FetchPlanner::schedule_retry(data::SiteIndex dest, data::DatasetId dataset,
                          std::to_string(config_.fetch_max_retries) +
                          " attempts (fetch_max_retries)");
   }
-  double delay = std::min(
-      config_.fetch_retry_base_s * static_cast<double>(1ULL << (fetch.attempts - 1)),
-      config_.fetch_retry_max_s);
+  const util::SimTime delay = util::capped_backoff(config_.fetch_retry_base_s, fetch.attempts,
+                                                   config_.fetch_retry_max_s);
   fetch.retry_event = engine_.schedule_in(
       delay, "fetch_retry", [this, dest, dataset] { retry_fetch(dest, dataset); });
 }
@@ -248,6 +247,12 @@ void FetchPlanner::note_catalog_lie(data::DatasetId dataset) {
 bool FetchPlanner::may_lie(data::DatasetId dataset) const {
   CHICSIM_ASSERT_MSG(dataset < may_lie_.size(), "dataset id out of range");
   return may_lie_[dataset] != 0;
+}
+
+void FetchPlanner::reconcile_flagged() {
+  for (data::DatasetId d = 0; d < may_lie_.size(); ++d) {
+    if (may_lie_[d] != 0) reconcile_lies(d);
+  }
 }
 
 void FetchPlanner::reconcile_lies(data::DatasetId dataset) {

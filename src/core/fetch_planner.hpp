@@ -73,6 +73,11 @@ class FetchPlanner final {
   /// false, every catalogued holder holds it (test seam).
   [[nodiscard]] bool may_lie(data::DatasetId dataset) const;
 
+  /// Reconcile every flagged dataset, in dataset order: sweeps the lies no
+  /// source selection tripped over, so the end-of-run audit sees a
+  /// truthful catalog.
+  void reconcile_flagged();
+
   /// Force-fail the in-flight fetch of `dataset` toward `dest` (fault
   /// injection). The transfer is aborted and the fetch rescheduled with
   /// backoff; waiters are untouched. Returns false when no such transfer
@@ -93,7 +98,7 @@ class FetchPlanner final {
   /// Retry/failover rounds after failed or sourceless fetches (diagnostic).
   [[nodiscard]] std::uint64_t transfer_retries() const { return transfer_retries_; }
 
-  /// Catalog lies discovered and reconciled during source selection.
+  /// Catalog lies reconciled, by source selection or reconcile_flagged.
   [[nodiscard]] std::uint64_t catalog_invalidations() const {
     return catalog_invalidations_;
   }

@@ -43,7 +43,7 @@ void Grid::build_world() {
                                                       config_.share_policy,
                                                       config_.realloc_mode);
   sites_ = build_sites(config_);
-  neighbors_ = build_neighbor_lists(config_);
+  neighbor_scopes_ = build_neighbor_lists(config_);
   catalog_ = build_catalog(config_);
   replica_catalog_ = std::make_unique<data::ReplicaCatalog>(catalog_.size());
   place_master_replicas(config_, catalog_, sites_, *replica_catalog_);
@@ -71,7 +71,7 @@ void Grid::wire_services() {
   bus_.set_clock([this] { return engine_.now(); });
   info_ = std::make_unique<InfoService>(config_, engine_, sites_, catalog_,
                                         *replica_catalog_, topology_, *routing_,
-                                        *transfers_, neighbors_);
+                                        *transfers_, neighbor_scopes_);
   replication_ = std::make_unique<ReplicationDriver>(config_, engine_, sites_, catalog_,
                                                      *replica_catalog_, *transfers_,
                                                      *info_, bus_);
@@ -185,7 +185,7 @@ void Grid::finish_run() {
   replication_->stop();
   // Scrub replica-catalog lies the run never tripped over (silent
   // corruption stream) before anything audits or reports the catalog.
-  std::uint64_t scrubbed = injector_->reconcile_catalog();
+  fetch_->reconcile_flagged();
   metrics_ = collector_.finalize(makespan, sites_, *transfers_);
   metrics_.remote_fetches = fetch_->remote_fetches();
   metrics_.replications = replication_->replications_started();
@@ -194,7 +194,7 @@ void Grid::finish_run() {
   metrics_.jobs_resubmitted = lifecycle_->jobs_resubmitted();
   metrics_.transfer_retries = fetch_->transfer_retries();
   metrics_.output_retries = lifecycle_->output_retries();
-  metrics_.catalog_invalidations = fetch_->catalog_invalidations() + scrubbed;
+  metrics_.catalog_invalidations = fetch_->catalog_invalidations();
   metrics_.events_executed = engine_.events_executed();
   metrics_.event_pushes = engine_.queue().total_pushes();
   metrics_.event_cancels = engine_.queue().total_cancels();

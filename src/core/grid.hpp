@@ -148,7 +148,7 @@ class Grid final {
   data::DatasetCatalog catalog_;
   std::unique_ptr<data::ReplicaCatalog> replica_catalog_;
   std::vector<site::Site> sites_;
-  std::vector<std::vector<data::SiteIndex>> neighbors_;
+  std::vector<std::vector<data::SiteIndex>> neighbor_scopes_;  ///< one list per DS scope
   std::unique_ptr<workload::Workload> workload_;
 
   EventBus bus_;

@@ -13,7 +13,7 @@ InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engi
                          const data::ReplicaCatalog& replicas,
                          const net::Topology& topology, const net::Routing& routing,
                          const net::TransferManager& transfers,
-                         const std::vector<std::vector<data::SiteIndex>>& neighbors)
+                         const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes)
     : config_(config),
       engine_(engine),
       sites_(sites),
@@ -22,7 +22,7 @@ InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engi
       topology_(topology),
       routing_(routing),
       transfers_(transfers),
-      neighbors_(neighbors) {}
+      neighbor_scopes_(neighbor_scopes) {}
 
 util::SimTime InfoService::current_epoch() const {
   util::SimTime now = engine_.now();
@@ -153,8 +153,9 @@ std::size_t InfoService::hops(data::SiteIndex a, data::SiteIndex b) const {
 
 const std::vector<data::SiteIndex>& InfoService::neighbors(data::SiteIndex s) const {
   ++view_queries_;
-  CHICSIM_ASSERT_MSG(s < neighbors_.size(), "site index out of range");
-  return neighbors_[s];
+  CHICSIM_ASSERT_MSG(s < sites_.size(), "site index out of range");
+  CHICSIM_ASSERT_MSG(!neighbor_scopes_.empty(), "no neighbour scope");
+  return neighbor_scopes_[s % neighbor_scopes_.size()];
 }
 
 std::size_t InfoService::path_congestion(data::SiteIndex a, data::SiteIndex b) const {

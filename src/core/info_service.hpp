@@ -43,11 +43,13 @@ namespace chicsim::core {
 class InfoService final : public GridView {
  public:
   /// All references are non-owning and must outlive the service.
+  /// `neighbor_scopes` holds one list per DS scope (build_neighbor_lists):
+  /// site s is in scope s % size().
   InfoService(const SimulationConfig& config, const sim::Engine& engine,
               const std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
               const data::ReplicaCatalog& replicas, const net::Topology& topology,
               const net::Routing& routing, const net::TransferManager& transfers,
-              const std::vector<std::vector<data::SiteIndex>>& neighbors);
+              const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes);
 
   // --- GridView ---
   [[nodiscard]] std::size_t num_sites() const override {
@@ -107,7 +109,7 @@ class InfoService final : public GridView {
   const net::Topology& topology_;
   const net::Routing& routing_;
   const net::TransferManager& transfers_;
-  const std::vector<std::vector<data::SiteIndex>>& neighbors_;
+  const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes_;
 
   mutable std::vector<std::size_t> load_snapshot_;
   mutable util::SimTime load_epoch_ = -1.0;

@@ -1,10 +1,9 @@
 #include "core/job_lifecycle.hpp"
 
-#include <algorithm>
-
 #include "core/factory.hpp"
 #include "core/fetch_planner.hpp"
 #include "util/error.hpp"
+#include "util/units.hpp"
 
 namespace chicsim::core {
 
@@ -161,10 +160,8 @@ void JobLifecycle::resubmit_with_backoff(site::Job& job, data::SiteIndex strande
                          stranded_site, data::kNoSite, 0.0});
   // Capped exponential backoff: quick first retry (the common transient),
   // but a grid-wide outage does not busy-loop the calendar.
-  double delay = std::min(
-      config_.resubmit_backoff_s * static_cast<double>(1ULL << std::min<std::uint32_t>(
-                                       job.resubmissions - 1, 4)),
-      16.0 * config_.resubmit_backoff_s);
+  const util::SimTime delay = util::capped_backoff(
+      config_.resubmit_backoff_s, job.resubmissions, 16.0 * config_.resubmit_backoff_s);
   site::JobId id = job.id;
   engine_.schedule_in(delay, "job_resubmit", [this, id] { decide_and_dispatch(job_mut(id)); });
 }

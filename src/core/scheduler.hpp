@@ -61,8 +61,9 @@ class GridView {
   /// Network distance between sites, in links.
   [[nodiscard]] virtual std::size_t hops(data::SiteIndex a, data::SiteIndex b) const = 0;
 
-  /// The DS's "list of known sites": the other leaf sites under the same
-  /// regional router.
+  /// The DS's "list of known sites": every site in `site`'s
+  /// ds_neighbor_scope (the whole grid, or its region), ascending, `site`
+  /// itself included. Sites of one scope share one list.
   [[nodiscard]] virtual const std::vector<data::SiteIndex>& neighbors(
       data::SiteIndex site) const = 0;
 

@@ -1,7 +1,6 @@
 #include "core/world_builder.hpp"
 
 #include <cstddef>
-#include <numeric>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -42,29 +41,16 @@ std::vector<site::Site> build_sites(const SimulationConfig& config) {
 
 std::vector<std::vector<data::SiteIndex>> build_neighbor_lists(
     const SimulationConfig& config) {
-  const std::size_t n = config.num_sites;
-  const std::size_t regions = config.num_regions;
-  // A star has no regions: every site is everyone's neighbour.
-  const bool whole_grid = config.topology == TopologyKind::Star ||
-                          config.ds_neighbor_scope == NeighborScope::Grid;
-  std::vector<std::vector<data::SiteIndex>> neighbors(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    std::vector<data::SiteIndex>& list = neighbors[s];
-    if (whole_grid) {
-      list.resize(n - 1);
-      const auto mid = list.begin() + static_cast<std::ptrdiff_t>(s);
-      std::iota(list.begin(), mid, data::SiteIndex{0});
-      std::iota(mid, list.end(), static_cast<data::SiteIndex>(s + 1));
-      continue;
-    }
-    // Sites are dealt to regions round-robin (build_hierarchy).
-    const std::size_t first = s % regions;
-    list.reserve((n - first + regions - 1) / regions - 1);
-    for (std::size_t t = first; t < n; t += regions) {
-      if (t != s) list.push_back(static_cast<data::SiteIndex>(t));
-    }
+  // A star has no regions: the whole grid is one scope.
+  const bool one_scope = config.topology == TopologyKind::Star ||
+                         config.ds_neighbor_scope == NeighborScope::Grid;
+  std::vector<std::vector<data::SiteIndex>> lists(one_scope ? 1 : config.num_regions);
+  // Sites are dealt to scopes round-robin, as build_hierarchy deals them
+  // to regions, so site s is in scope s % lists.size().
+  for (std::size_t s = 0; s < config.num_sites; ++s) {
+    lists[s % lists.size()].push_back(static_cast<data::SiteIndex>(s));
   }
-  return neighbors;
+  return lists;
 }
 
 data::DatasetCatalog build_catalog(const SimulationConfig& config) {

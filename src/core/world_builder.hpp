@@ -22,9 +22,10 @@ namespace chicsim::core {
 /// "sites" and "speeds").
 [[nodiscard]] std::vector<site::Site> build_sites(const SimulationConfig& config);
 
-/// The DS's "list of known sites": every other site for Grid scope, or the
-/// leaf sites under the same regional router for Region scope (matching
-/// build_hierarchy's round-robin region assignment).
+/// The DS's "lists of known sites", one per scope, each ascending: one list
+/// of every site for Grid scope (or a star), or one per region for Region
+/// scope, dealt round-robin as build_hierarchy deals sites to regions. Site
+/// s is in list s % size() and finds itself there.
 [[nodiscard]] std::vector<std::vector<data::SiteIndex>> build_neighbor_lists(
     const SimulationConfig& config);
 

@@ -8,6 +8,7 @@
 // (`size_mb`, `bandwidth_mbps`, `runtime_s`) so mixups stay visible.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 
 namespace chicsim::util {
@@ -43,6 +44,17 @@ inline constexpr double kEpsilon = 1e-9;
   double diff = a > b ? a - b : b - a;
   double mag = (a > 0 ? a : -a) + (b > 0 ? b : -b);
   return diff <= tol * (1.0 + mag);
+}
+
+/// Capped exponential backoff before retry `attempt` (1-based):
+/// min(base * 2^(attempt - 1), cap). Doubles instead of shifting, so every
+/// attempt count is defined; each doubling is exact, so the result is the
+/// same double as base times the power of two.
+[[nodiscard]] constexpr SimTime capped_backoff(SimTime base, std::uint64_t attempt,
+                                               SimTime cap) {
+  SimTime delay = base;
+  for (std::uint64_t a = 1; a < attempt && delay < cap; ++a) delay *= 2.0;
+  return delay < cap ? delay : cap;
 }
 
 }  // namespace chicsim::util

@@ -18,9 +18,10 @@ class FakeGridView final : public GridView {
         replicas_(num_datasets),
         sizes_(num_datasets, 1000.0),
         neighbors_(num_sites) {
+    // One grid-wide scope: every site, the site itself included.
     for (std::size_t s = 0; s < num_sites; ++s) {
       for (std::size_t t = 0; t < num_sites; ++t) {
-        if (t != s) neighbors_[s].push_back(static_cast<data::SiteIndex>(t));
+        neighbors_[s].push_back(static_cast<data::SiteIndex>(t));
       }
     }
   }

@@ -209,6 +209,20 @@ TEST(DataLeastLoaded, RespectsNeighborList) {
   EXPECT_NE(ctx.replicated_[0].second, 2u);
 }
 
+TEST(DataLeastLoaded, NeverPicksSelfFromItsOwnScope) {
+  FakeGridView view(4, 1);
+  view.loads_ = {0, 9, 3, 9};  // self = 0 is the least loaded site of its scope
+  view.neighbors_[0] = {0, 1, 2, 3};
+  view.place(0, 1);  // self does not hold the hot dataset
+  FakeReplicationContext ctx(view, 0);
+  ctx.popular_ = DatasetIds{0};
+  util::Rng rng(16);
+  DataLeastLoadedDs ds(10.0);
+  ds.evaluate(ctx, rng);
+  ASSERT_EQ(ctx.replicated_.size(), 1u);
+  EXPECT_EQ(ctx.replicated_[0].second, 2u);
+}
+
 TEST(DataBestClient, ReplicatesToTopRequester) {
   FakeGridView view(5, 2);
   FakeReplicationContext ctx(view, 1);
@@ -271,6 +285,18 @@ TEST(DataFastSpread, NoCandidateMeansNoPush) {
   view.place(0, 1);  // the only sibling already holds it
   FakeReplicationContext ctx(view, 1);
   util::Rng rng(14);
+  DataFastSpreadDs ds;
+  ds.on_remote_fetch(ctx, 0, /*requester=*/2, rng);
+  EXPECT_TRUE(ctx.replicated_.empty());
+}
+
+TEST(DataFastSpread, NeverPushesToTheRequester) {
+  FakeGridView view(4, 1);
+  view.neighbors_[2] = {0, 1, 2, 3};  // requester 2's scope includes itself
+  view.place(0, 0);
+  view.place(0, 3);  // every other sibling already holds it
+  FakeReplicationContext ctx(view, 1);
+  util::Rng rng(17);
   DataFastSpreadDs ds;
   ds.on_remote_fetch(ctx, 0, /*requester=*/2, rng);
   EXPECT_TRUE(ctx.replicated_.empty());

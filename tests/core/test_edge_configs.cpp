@@ -4,6 +4,8 @@
 // so refactors that silently change the model are caught.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/grid.hpp"
 
 namespace chicsim::core {
@@ -39,7 +41,9 @@ TEST(EdgeConfig, OneRegionPerSiteMeansNoSiblings) {
   cfg.ds_neighbor_scope = NeighborScope::Region;
   cfg.ds = DsAlgorithm::DataLeastLoaded;
   Grid grid(cfg);
-  for (data::SiteIndex s = 0; s < 6; ++s) EXPECT_TRUE(grid.info().neighbors(s).empty());
+  for (data::SiteIndex s = 0; s < 6; ++s) {
+    EXPECT_EQ(grid.info().neighbors(s), std::vector<data::SiteIndex>{s});  // itself only
+  }
   grid.run();
   EXPECT_EQ(grid.metrics().jobs_completed, 36u);
   EXPECT_EQ(grid.metrics().replications, 0u);  // no known sites to host

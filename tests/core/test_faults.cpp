@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/audit.hpp"
 #include "core/faults.hpp"
 #include "core/grid.hpp"
+#include "util/error.hpp"
 
 namespace chicsim::core {
 namespace {
@@ -215,6 +217,28 @@ TEST(Faults, ParkedFetchBacksOffExponentially) {
   }
   EXPECT_TRUE(saw_doubling);
   audit_grid(grid);
+}
+
+TEST(Faults, FetchBackoffStaysCappedPastSixtyFourRetries) {
+  // Site 1 never recovers, so every fetch of a dataset mastered there parks
+  // for good and is abandoned after fetch_max_retries polls. Past the cap
+  // each poll waits fetch_retry_max_s whatever the attempt count, so 70
+  // retries end exactly six capped waits after 64.
+  auto abandoned_at = [](std::size_t max_retries) {
+    SimulationConfig cfg = small_config();
+    cfg.fetch_max_retries = max_retries;
+    Grid grid(cfg);
+    grid.add_fault_plan(FaultPlan{}.crash_site(0.0, 1));
+    try {
+      grid.run();
+      ADD_FAILURE() << "the parked fetch was never abandoned";
+    } catch (const util::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("fetch_max_retries"), std::string::npos) << e.what();
+    }
+    return grid.engine().now();
+  };
+  const SimulationConfig defaults;
+  EXPECT_NEAR(abandoned_at(70) - abandoned_at(64), 6.0 * defaults.fetch_retry_max_s, 1e-6);
 }
 
 TEST(Faults, FlakyTransfersRetryUntilDelivery) {

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "workload/trace.hpp"
@@ -147,22 +148,29 @@ TEST(Grid, GridViewAnswersAreConsistent) {
   }
 }
 
-TEST(Grid, NeighborsGridScopeListsEveryoneElse) {
+TEST(Grid, NeighborsGridScopeIsOneSharedListOfEverySite) {
   SimulationConfig cfg = small_config();
   cfg.ds_neighbor_scope = NeighborScope::Grid;
   Grid grid(cfg);
+  const std::vector<data::SiteIndex>& all = grid.info().neighbors(0);
+  ASSERT_EQ(all.size(), cfg.num_sites);
   for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
-    EXPECT_EQ(grid.info().neighbors(s).size(), cfg.num_sites - 1);
+    EXPECT_EQ(all[s], s);
+    EXPECT_EQ(&grid.info().neighbors(s), &all);  // shared, not a copy per site
   }
 }
 
-TEST(Grid, NeighborsRegionScopeListsSiblings) {
-  SimulationConfig cfg = small_config();  // 6 sites, 3 regions -> 1 sibling
+TEST(Grid, NeighborsRegionScopeIsTheRegionSharedBySiblings) {
+  SimulationConfig cfg = small_config();  // 6 sites, 3 regions -> self + 1 sibling
   cfg.ds_neighbor_scope = NeighborScope::Region;
   Grid grid(cfg);
   for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
-    ASSERT_EQ(grid.info().neighbors(s).size(), 1u);
-    EXPECT_EQ(grid.info().neighbors(s)[0] % cfg.num_regions, s % cfg.num_regions);
+    const std::vector<data::SiteIndex>& scope = grid.info().neighbors(s);
+    ASSERT_EQ(scope.size(), 2u);
+    EXPECT_LT(scope[0], scope[1]);
+    EXPECT_TRUE(scope[0] == s || scope[1] == s);
+    for (data::SiteIndex t : scope) EXPECT_EQ(t % cfg.num_regions, s % cfg.num_regions);
+    EXPECT_EQ(&scope, &grid.info().neighbors(s % cfg.num_regions));
   }
 }
 
@@ -183,7 +191,7 @@ TEST(Grid, StarTopologyRunsAndFlattensNeighbourhoods) {
   // One hub + 6 sites.
   EXPECT_EQ(grid.topology().node_count(), 7u);
   for (data::SiteIndex s = 0; s < cfg.num_sites; ++s) {
-    EXPECT_EQ(grid.info().neighbors(s).size(), cfg.num_sites - 1);
+    EXPECT_EQ(grid.info().neighbors(s).size(), cfg.num_sites);
     for (data::SiteIndex t = 0; t < cfg.num_sites; ++t) {
       if (t != s) {
         EXPECT_EQ(grid.info().hops(s, t), 2u);

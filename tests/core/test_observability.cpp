@@ -257,19 +257,16 @@ TEST(Observability, ChromeTraceIsSchemaValidJson) {
   EXPECT_EQ(complete, grid.metrics().jobs_completed);
 }
 
-TEST(Observability, TraceExportOptionsDropCounterTracks) {
+TEST(Observability, TraceExportWithoutRoutingOrTimelineDropsCounterTracks) {
   SimulationConfig cfg = obs_config();
   Grid grid(cfg);
   SpanBuilder spans;
   grid.add_observer(&spans);
   grid.run();
 
-  TraceExportOptions options;
-  options.link_counters = false;
-  options.grid_counters = false;
   std::ostringstream out;
   write_chrome_trace(out, spans, grid.topology(), grid.site_count(),
-                     /*routing=*/nullptr, /*timeline=*/{}, options);
+                     /*routing=*/nullptr, /*timeline=*/{});
   util::JsonValue doc = util::parse_json(out.str());
   for (const util::JsonValue& e : doc.at("traceEvents").items()) {
     EXPECT_NE(e.at("ph").as_string(), "C");

@@ -27,8 +27,9 @@ std::vector<std::vector<data::SiteIndex>> pairwise_neighbor_lists(const Simulati
 }
 
 TEST(WorldBuilder, NeighborListsMatchThePairwiseFilter) {
-  // Site counts that are not multiples of the region count, plus one
-  // region per site and a single region.
+  // Each scope is stored once and includes the site itself: s's scope
+  // minus s is the old per-site list. Site counts that are not multiples
+  // of the region count, plus one region per site and a single region.
   const std::size_t shapes[][2] = {{31, 6}, {1000, 40}, {7, 7}, {2, 1}, {1, 1}};
   for (const auto& [sites, regions] : shapes) {
     for (TopologyKind topology : {TopologyKind::Star, TopologyKind::Hierarchy}) {
@@ -41,7 +42,25 @@ TEST(WorldBuilder, NeighborListsMatchThePairwiseFilter) {
         SCOPED_TRACE(std::to_string(sites) + "/" + std::to_string(regions) + " star=" +
                      std::to_string(topology == TopologyKind::Star) +
                      " grid=" + std::to_string(scope == NeighborScope::Grid));
-        EXPECT_EQ(build_neighbor_lists(cfg), pairwise_neighbor_lists(cfg));
+        const auto scopes = build_neighbor_lists(cfg);
+        const auto expected = pairwise_neighbor_lists(cfg);
+        const bool one_scope =
+            topology == TopologyKind::Star || scope == NeighborScope::Grid;
+        ASSERT_EQ(scopes.size(), one_scope ? 1u : regions);
+        for (std::size_t s = 0; s < sites; ++s) {
+          const std::vector<data::SiteIndex>& list = scopes[s % scopes.size()];
+          std::vector<data::SiteIndex> others;
+          std::size_t self_count = 0;
+          for (data::SiteIndex t : list) {
+            if (t == s) {
+              ++self_count;
+            } else {
+              others.push_back(t);
+            }
+          }
+          EXPECT_EQ(self_count, 1u) << "site " << s;
+          EXPECT_EQ(others, expected[s]) << "site " << s;
+        }
       }
     }
   }
