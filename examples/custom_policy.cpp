@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 
 #include "core/grid.hpp"
 #include "util/cli.hpp"
@@ -68,6 +69,12 @@ class PinnedMirrorDs final : public core::DatasetScheduler {
       }
       ctx.reset_popularity(hot);
     }
+  }
+
+  /// evaluate() acts only on datasets at or over threshold_, so sites
+  /// without one need not be evaluated.
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return threshold_;
   }
 
  private:

@@ -1,10 +1,17 @@
 #include "core/ds_policies.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/error.hpp"
 
 namespace chicsim::core {
+
+namespace {
+bool holds(const std::vector<data::SiteIndex>& holders, data::SiteIndex s) {
+  return std::find(holders.begin(), holders.end(), s) != holders.end();
+}
+}  // namespace
 
 void DatasetScheduler::on_remote_fetch(ReplicationContext& ctx, data::DatasetId dataset,
                                        data::SiteIndex requester, util::Rng& rng) {
@@ -47,10 +54,11 @@ void DataLeastLoadedDs::evaluate(ReplicationContext& ctx, util::Rng& rng) {
   const GridView& view = ctx.view();
   const auto& neighbors = view.neighbors(ctx.self());
   for (data::DatasetId hot : ctx.popular_datasets(threshold_)) {
+    const auto& holders = view.replica_sites(hot);
     data::SiteIndex dest = data::kNoSite;
     std::size_t best_load = std::numeric_limits<std::size_t>::max();
     for (data::SiteIndex n : neighbors) {
-      if (n == ctx.self() || view.site_has_dataset(n, hot)) continue;
+      if (n == ctx.self() || holds(holders, n)) continue;
       // Count replicas already heading there: the "least loaded" host for
       // the next hot dataset is not the one every sibling just picked.
       std::size_t load = view.site_load(n) + ctx.inbound_replications(n);
@@ -87,9 +95,10 @@ void DataFastSpreadDs::on_remote_fetch(ReplicationContext& ctx, data::DatasetId 
   const GridView& view = ctx.view();
   // One extra copy lands beside the requester, pre-positioning the data in
   // that region for the next consumer.
+  const auto& holders = view.replica_sites(dataset);
   std::vector<data::SiteIndex> candidates;
   for (data::SiteIndex n : view.neighbors(requester)) {
-    if (n != requester && n != ctx.self() && !view.site_has_dataset(n, dataset)) {
+    if (n != requester && n != ctx.self() && !holds(holders, n)) {
       candidates.push_back(n);
     }
   }

@@ -25,6 +25,9 @@ class DataDoNothingDs final : public DatasetScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "DataDoNothing"; }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return kNeverEvaluate;
+  }
 };
 
 /// Threshold replication to a uniformly random other site.
@@ -33,6 +36,9 @@ class DataRandomDs final : public DatasetScheduler {
   explicit DataRandomDs(double threshold) : threshold_(threshold) {}
   [[nodiscard]] const char* name() const override { return "DataRandom"; }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return threshold_;
+  }
 
  private:
   double threshold_;
@@ -45,6 +51,9 @@ class DataLeastLoadedDs final : public DatasetScheduler {
   explicit DataLeastLoadedDs(double threshold) : threshold_(threshold) {}
   [[nodiscard]] const char* name() const override { return "DataLeastLoaded"; }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return threshold_;
+  }
 
  private:
   double threshold_;
@@ -56,6 +65,9 @@ class DataBestClientDs final : public DatasetScheduler {
   explicit DataBestClientDs(double threshold) : threshold_(threshold) {}
   [[nodiscard]] const char* name() const override { return "DataBestClient"; }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return threshold_;
+  }
 
  private:
   double threshold_;
@@ -67,6 +79,9 @@ class DataFastSpreadDs final : public DatasetScheduler {
  public:
   [[nodiscard]] const char* name() const override { return "DataFastSpread"; }
   void evaluate(ReplicationContext& ctx, util::Rng& rng) override;
+  [[nodiscard]] std::optional<double> popularity_threshold() const override {
+    return kNeverEvaluate;
+  }
   void on_remote_fetch(ReplicationContext& ctx, data::DatasetId dataset,
                        data::SiteIndex requester, util::Rng& rng) override;
 };

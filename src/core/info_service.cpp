@@ -10,7 +10,7 @@ namespace chicsim::core {
 InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engine,
                          const std::vector<site::Site>& sites,
                          const data::DatasetCatalog& catalog,
-                         const data::ReplicaCatalog& replicas,
+                         data::ReplicaCatalog& replicas,
                          const net::Topology& topology, const net::Routing& routing,
                          const net::TransferManager& transfers,
                          const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes)
@@ -25,39 +25,41 @@ InfoService::InfoService(const SimulationConfig& config, const sim::Engine& engi
       neighbor_scopes_(neighbor_scopes) {}
 
 util::SimTime InfoService::current_epoch() const {
-  util::SimTime now = engine_.now();
-  if (config_.info_staleness_s <= 0.0) return now;
-  return std::floor(now / config_.info_staleness_s) * config_.info_staleness_s;
+  if (config_.info_staleness_s <= 0.0) return engine_.now();
+  sync_epoch();
+  return epoch_;
+}
+
+void InfoService::start_instant() const {
+  checked_at_ = engine_.now();
+  epoch_ = std::floor(checked_at_ / config_.info_staleness_s) * config_.info_staleness_s;
 }
 
 void InfoService::refresh_loads() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > load_epoch_ || load_snapshot_.size() != sites_.size()) {
+  sync_epoch();
+  if (load_epoch_ != epoch_) {
     load_snapshot_.resize(sites_.size());
     for (std::size_t i = 0; i < sites_.size(); ++i) load_snapshot_[i] = sites_[i].load();
-    load_epoch_ = epoch;
+    load_epoch_ = epoch_;
   }
 }
 
 void InfoService::refresh_replicas() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > replica_epoch_ || replica_snapshot_.size() != catalog_.size()) {
-    replica_snapshot_.resize(catalog_.size());
-    for (data::DatasetId d = 0; d < catalog_.size(); ++d) {
-      replica_snapshot_[d] = replicas_.locations(d);
-    }
-    replica_epoch_ = epoch;
+  sync_epoch();
+  if (replica_epoch_ != epoch_) {
+    replicas_.publish();
+    replica_epoch_ = epoch_;
   }
 }
 
 void InfoService::refresh_alive() const {
-  util::SimTime epoch = current_epoch();
-  if (epoch > alive_epoch_ || alive_snapshot_.size() != sites_.size()) {
+  sync_epoch();
+  if (alive_epoch_ != epoch_) {
     alive_snapshot_.resize(sites_.size());
     for (std::size_t i = 0; i < sites_.size(); ++i) {
       alive_snapshot_[i] = sites_[i].alive() ? 1 : 0;
     }
-    alive_epoch_ = epoch;
+    alive_epoch_ = epoch_;
   }
 }
 
@@ -124,8 +126,7 @@ const std::vector<data::SiteIndex>& InfoService::published_replicas(
     data::DatasetId dataset) const {
   if (config_.info_staleness_s <= 0.0) return replicas_.locations(dataset);
   refresh_replicas();
-  CHICSIM_ASSERT_MSG(dataset < replica_snapshot_.size(), "dataset id out of range");
-  return replica_snapshot_[dataset];
+  return replicas_.published(dataset);
 }
 
 const std::vector<data::SiteIndex>& InfoService::replica_sites(

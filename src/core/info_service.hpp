@@ -17,6 +17,12 @@
 // epoch [k*S, (k+1)*S); static facts (topology, dataset sizes, neighbour
 // lists) and the NWS-style congestion probes stay live.
 //
+// The epoch is computed once per simulated instant: a query compares the
+// engine clock with the instant it last checked, and only a new instant
+// pays for the floor-division. Replica locations are published
+// copy-on-write by the ReplicaCatalog itself (ReplicaCatalog::publish), so a
+// publication costs O(datasets changed since the last one), not O(all).
+//
 // The placement index: with staleness S > 0, published liveness and loads
 // are frozen for an epoch, so alive_sites() and least_loaded_alive() are
 // answered from lists rebuilt once per epoch from the snapshots (each read
@@ -42,12 +48,13 @@ namespace chicsim::core {
 
 class InfoService final : public GridView {
  public:
-  /// All references are non-owning and must outlive the service.
+  /// All references are non-owning and must outlive the service. With
+  /// staleness > 0 the service is the one publisher of `replicas`.
   /// `neighbor_scopes` holds one list per DS scope (build_neighbor_lists):
   /// site s is in scope s % size().
   InfoService(const SimulationConfig& config, const sim::Engine& engine,
               const std::vector<site::Site>& sites, const data::DatasetCatalog& catalog,
-              const data::ReplicaCatalog& replicas, const net::Topology& topology,
+              data::ReplicaCatalog& replicas, const net::Topology& topology,
               const net::Routing& routing, const net::TransferManager& transfers,
               const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes);
 
@@ -87,6 +94,12 @@ class InfoService final : public GridView {
   [[nodiscard]] std::uint64_t view_queries() const { return view_queries_; }
 
  private:
+  /// Bring epoch_ up to the current time (staleness > 0 only).
+  void sync_epoch() const {
+    if (engine_.now() != checked_at_) start_instant();
+  }
+  void start_instant() const;
+
   /// Re-publish the given snapshot family if a new epoch began. Families
   /// refresh independently, each at its first query inside the epoch.
   void refresh_loads() const;
@@ -105,15 +118,16 @@ class InfoService final : public GridView {
   const sim::Engine& engine_;
   const std::vector<site::Site>& sites_;
   const data::DatasetCatalog& catalog_;
-  const data::ReplicaCatalog& replicas_;
+  data::ReplicaCatalog& replicas_;
   const net::Topology& topology_;
   const net::Routing& routing_;
   const net::TransferManager& transfers_;
   const std::vector<std::vector<data::SiteIndex>>& neighbor_scopes_;
 
+  mutable util::SimTime checked_at_ = -1.0;  ///< the instant epoch_ was computed at
+  mutable util::SimTime epoch_ = -1.0;
   mutable std::vector<std::size_t> load_snapshot_;
   mutable util::SimTime load_epoch_ = -1.0;
-  mutable std::vector<std::vector<data::SiteIndex>> replica_snapshot_;
   mutable util::SimTime replica_epoch_ = -1.0;
   mutable std::vector<std::uint8_t> alive_snapshot_;
   mutable util::SimTime alive_epoch_ = -1.0;

@@ -12,6 +12,8 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -49,7 +51,8 @@ class GridView {
   /// homogeneous model; varies under the heterogeneity extension).
   [[nodiscard]] virtual double site_speed_factor(data::SiteIndex site) const = 0;
 
-  /// Sites currently holding a replica of `dataset`.
+  /// Sites currently holding a replica of `dataset`. Read the list before
+  /// the simulation moves on: it may change when the catalog does.
   [[nodiscard]] virtual const std::vector<data::SiteIndex>& replica_sites(
       data::DatasetId dataset) const = 0;
 
@@ -189,14 +192,29 @@ class ReplicationContext {
   [[nodiscard]] virtual std::size_t inbound_replications(data::SiteIndex site) const = 0;
 };
 
+/// The DatasetScheduler::popularity_threshold() of a DS whose evaluate()
+/// is always a no-op: no count reaches it.
+inline constexpr double kNeverEvaluate = std::numeric_limits<double>::infinity();
+
 /// Dataset Scheduler: decides if/when/where to replicate popular datasets.
 class DatasetScheduler {
  public:
   virtual ~DatasetScheduler() = default;
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Called every ds_check_period_s of virtual time.
+  /// Called every ds_check_period_s of virtual time, at each site that may
+  /// need it (see popularity_threshold), in ascending site order.
   virtual void evaluate(ReplicationContext& ctx, util::Rng& rng) = 0;
+
+  /// The popularity count below which evaluate() is a no-op: if no dataset
+  /// the site holds has a count at or over it, evaluate() must not act,
+  /// draw from `rng`, or change any state. The driver then evaluates only
+  /// sites holding such a dataset (evaluate() still runs at dead sites).
+  /// nullopt, the default, declares nothing: every site is evaluated on
+  /// every tick. kNeverEvaluate declares that no site ever needs it.
+  [[nodiscard]] virtual std::optional<double> popularity_threshold() const {
+    return std::nullopt;
+  }
 
   /// Hook invoked when a remote site fetches `dataset` from this DS's site
   /// (used by DataFastSpread; default does nothing).

@@ -16,11 +16,12 @@ double PopularityTracker::decayed(const Cell& cell, util::SimTime now) const {
   return cell.count * std::exp2(-dt / half_life_s_);
 }
 
-void PopularityTracker::record(DatasetId id, util::SimTime now) {
+double PopularityTracker::record(DatasetId id, util::SimTime now) {
   Cell& cell = counts_[id];
   cell.count = decayed(cell, now) + 1.0;
   cell.last_update = now;
   ++total_;
+  return cell.count;
 }
 
 double PopularityTracker::count(DatasetId id, util::SimTime now) const {

@@ -25,8 +25,9 @@ class PopularityTracker {
   /// `half_life_s` <= 0 disables decay (paper behaviour).
   explicit PopularityTracker(util::SimTime half_life_s = 0.0);
 
-  /// Record one request for `id` at virtual time `now`.
-  void record(DatasetId id, util::SimTime now);
+  /// Record one request for `id` at virtual time `now`; returns the new
+  /// count.
+  double record(DatasetId id, util::SimTime now);
 
   /// Decayed request count for `id` as of `now`.
   [[nodiscard]] double count(DatasetId id, util::SimTime now) const;

@@ -1,8 +1,10 @@
 // Tests of the information-service semantics of core::InfoService (reached
 // through its grid.info() seam): exact load with staleness 0, epoch-snapshot
 // load with staleness > 0, and the network occupancy metrics derived from
-// link busy-time integrals, and the placement index against the GridView
-// default scans. Replica-location staleness is covered in test_services.cpp.
+// link busy-time integrals, the placement index against the GridView
+// default scans, and stale loads and replica locations against a
+// brute-force snapshot per epoch. Replica-location staleness through the
+// Grid is covered in test_services.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,15 +117,15 @@ TEST(InfoService, NoTrafficMeansIdleLinks) {
 /// A standalone InfoService over sites whose queues and liveness a test
 /// sets directly, with the engine clock moved by run_until.
 struct IndexWorld {
-  explicit IndexWorld(std::size_t n, double staleness)
+  explicit IndexWorld(std::size_t n, double staleness, std::size_t datasets = 1)
       : topology(net::build_hierarchy({n, 1, 10.0})),
         routing(topology),
         transfers(engine, topology, routing),
-        replicas(1),
+        replicas(datasets),
         neighbors(n) {
     config.num_sites = n;
     config.info_staleness_s = staleness;
-    catalog.add("d0", 1000.0);
+    for (std::size_t d = 0; d < datasets; ++d) catalog.add("d" + std::to_string(d), 1000.0);
     for (std::size_t s = 0; s < n; ++s) {
       sites.emplace_back(static_cast<data::SiteIndex>(s), 2, 10000.0);
     }
@@ -266,6 +268,119 @@ TEST(InfoService, PlacementIndexIsFrozenWithinAnEpoch) {
   w.engine.run_until(200.0);  // nothing alive: every site is placeable
   EXPECT_EQ(w.info->alive_sites(), (std::vector<data::SiteIndex>{0, 1, 2, 3}));
   EXPECT_EQ(w.info->least_loaded_alive(), (std::vector<data::SiteIndex>{1}));
+}
+
+TEST(InfoService, StaleViewMatchesASnapshotTakenAtTheFamilysFirstQuery) {
+  // Brute force: each family (loads, replica locations) is deep-copied
+  // from ground truth at its first query inside an epoch; every stale
+  // answer must come from that copy, however ground truth moved since.
+  util::Rng gen(120);
+  constexpr double kStaleness = 120.0;
+  std::size_t same_instant = 0, at_boundary = 0, wipes = 0, lagging = 0;
+  for (std::uint64_t trial = 0; trial < 150; ++trial) {
+    const std::size_t n = 2 + gen.index(6);
+    const std::size_t datasets = 1 + gen.index(5);
+    IndexWorld w(n, kStaleness, datasets);
+    for (data::DatasetId d = 0; d < datasets; ++d) {
+      w.replicas.add(d, static_cast<data::SiteIndex>(gen.index(n)));
+    }
+    double load_epoch = -1.0, replica_epoch = -1.0;
+    std::vector<std::size_t> load_oracle;
+    std::vector<std::vector<data::SiteIndex>> replica_oracle;
+    auto epoch_now = [&] {
+      return std::floor(w.engine.now() / kStaleness) * kStaleness;
+    };
+    auto mutate = [&] {
+      for (int k = 0; k < 3; ++k) {
+        const auto d = static_cast<data::DatasetId>(gen.index(datasets));
+        const auto s = static_cast<data::SiteIndex>(gen.index(n));
+        if (gen.chance(0.5)) {
+          w.replicas.add(d, s);
+        } else {
+          (void)w.replicas.remove(d, s);
+        }
+        w.set_load(s, gen.index(4));
+      }
+      if (gen.chance(0.15)) {
+        // A crash wipe: the site loses every copy it held and its queue.
+        const auto s = static_cast<data::SiteIndex>(gen.index(n));
+        for (data::DatasetId d = 0; d < datasets; ++d) (void)w.replicas.remove(d, s);
+        w.set_load(s, 0);
+        ++wipes;
+      }
+    };
+    auto check_loads = [&] {
+      if (load_epoch != epoch_now()) {
+        load_oracle.clear();
+        for (data::SiteIndex s = 0; s < n; ++s) load_oracle.push_back(w.sites[s].load());
+        load_epoch = epoch_now();
+      }
+      for (data::SiteIndex s = 0; s < n; ++s) ASSERT_EQ(w.info->site_load(s), load_oracle[s]);
+    };
+    auto check_replicas = [&] {
+      const bool first = replica_epoch != epoch_now();
+      if (first) {
+        replica_oracle.clear();
+        for (data::DatasetId d = 0; d < datasets; ++d) {
+          replica_oracle.push_back(w.replicas.locations(d));
+        }
+        replica_epoch = epoch_now();
+      }
+      // Probe membership first, so that an epoch's first query is
+      // sometimes site_has_dataset rather than replica_sites.
+      for (data::DatasetId d = 0; d < datasets; ++d) {
+        for (data::SiteIndex s = 0; s < n; ++s) {
+          const auto& want = replica_oracle[d];
+          ASSERT_EQ(w.info->site_has_dataset(s, d),
+                    std::find(want.begin(), want.end(), s) != want.end());
+        }
+        ASSERT_EQ(w.info->replica_sites(d), replica_oracle[d]);
+        lagging += replica_oracle[d] != w.replicas.locations(d) ? 1 : 0;
+      }
+    };
+    util::SimTime t = 0.0;
+    for (int step = 0; step < 30; ++step) {
+      const double epoch_start = std::floor(t / kStaleness) * kStaleness;
+      switch (gen.index(4)) {
+        case 0:
+          ++same_instant;
+          break;
+        case 1:
+          t = std::min(t + gen.uniform(0.0, 30.0), epoch_start + kStaleness * 0.99);
+          break;
+        case 2:
+          t = epoch_start + kStaleness;
+          ++at_boundary;
+          break;
+        default:
+          t = epoch_start + kStaleness * static_cast<double>(1 + gen.index(3)) +
+              gen.uniform(0.0, kStaleness * 0.9);
+          break;
+      }
+      w.engine.run_until(t);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " + std::to_string(step) +
+                   " t " + std::to_string(t));
+      // Ground truth moves between queries at one instant as well.
+      mutate();
+      if (gen.chance(0.5)) {
+        check_loads();
+        mutate();
+        check_replicas();
+      } else {
+        check_replicas();
+        mutate();
+        check_loads();
+      }
+      mutate();
+      check_replicas();
+      check_loads();
+      ASSERT_EQ(w.info->current_epoch(), epoch_now());
+    }
+  }
+  EXPECT_GT(same_instant, 0u);
+  EXPECT_GT(at_boundary, 0u);
+  EXPECT_GT(wipes, 0u);
+  EXPECT_GT(lagging, 0u);
 }
 
 }  // namespace
